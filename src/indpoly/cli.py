@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from multiprocessing import Pool
 
@@ -20,7 +21,6 @@ from .graphs import (
     Graph,
     GraphError,
     GraphParseError,
-    alpha,
     build_family,
     parse_edge_list,
     parse_graph6,
@@ -121,7 +121,8 @@ def cmd_poly(args) -> int:
     _emit(
         {
             "coeffs": coeffs_as_strings(poly),
-            "alpha": alpha(g),
+            # alpha(G) = deg I(G), so the graph is not solved a second time
+            "alpha": poly.degree,
             "properties": property_report(poly).to_json_dict(),
         }
     )
@@ -258,6 +259,26 @@ def _scan_worker(payload):
     return ver.scan_result_to_json(result), report.unimodal
 
 
+def _resume_offset(path: str, nmin: int) -> int:
+    """Byte length of the leading complete lines of an earlier scan at `path`
+    whose trees have fewer than nmin vertices."""
+    offset = 0
+    with open(path, "rb") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.endswith(b"\n"):
+                break  # torn by an aborted write
+            try:
+                n = json.loads(line)["n"]
+            except (ValueError, KeyError, TypeError):
+                raise GraphParseError(
+                    f"{path}: line {lineno}: not a scan result line"
+                ) from None
+            if n >= nmin:
+                break
+            offset += len(line)
+    return offset
+
+
 def cmd_scan(args) -> int:
     if args.what != "trees":
         raise GraphParseError("only 'scan trees' is supported")
@@ -266,7 +287,10 @@ def cmd_scan(args) -> int:
             f"bounds must satisfy 2 <= nmin <= nmax <= {ver.TREE_SCAN_MAX}"
         )
     total_violations = 0
-    with open(args.out, "w", encoding="utf-8") as handle:
+    if args.nmin > 2 and os.path.exists(args.out):
+        # resume: keep the sizes below nmin, drop anything written after them
+        os.truncate(args.out, _resume_offset(args.out, args.nmin))
+    with open(args.out, "w" if args.nmin == 2 else "a", encoding="utf-8") as handle:
         for n in range(args.nmin, args.nmax + 1):
             # distinct_trees is already sorted by canonical code, and
             # Pool.map preserves order, so output stays deterministic

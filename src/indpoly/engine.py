@@ -6,51 +6,71 @@ masks, with connected components multiplied separately, edgeless remainders
 short-circuited to (1+x)^k, and results memoized by mask.
 ``brute_force_independence_polynomial`` enumerates every independent set with
 no sharing at all, so it can certify the fast path.
+
+Inside the recursion a polynomial is packed into one Python int by Kronecker
+substitution: coefficient k sits in bits [k*B, (k+1)*B) with B = n + 2.  Every
+intermediate value is I(H) for an induced subgraph H, whose coefficients sum
+to at most 2^|H| <= 2^n, so no slot ever carries into the next.  Addition is
+then one int addition, multiplying by x is a shift by B, and a component
+product is one big-int multiplication.  The packed root value is unpacked into
+an ``IntPoly`` once, at the end.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
-from .graphs import Graph, GraphError, _bits, _max_degree_vertex, mask_components
-from .polynomials import ONE, ONE_PLUS_X, IntPoly
+from .graphs import Graph, GraphError, _max_degree_vertex, mask_components
+from .polynomials import IntPoly
 
 BRUTE_FORCE_CAP = 24
-
-
-@lru_cache(maxsize=None)
-def _one_plus_x_pow(k: int) -> IntPoly:
-    return ONE_PLUS_X ** k
 
 
 def independence_polynomial(g: Graph) -> IntPoly:
     """Exact I(G;x) for graphs up to 64 vertices."""
     adj = g.adj
-    closed = tuple(adj[v] | (1 << v) for v in range(g.n))
-    memo: dict[int, IntPoly] = {}
+    n = g.n
+    closed = tuple(adj[v] | (1 << v) for v in range(n))
+    width = n + 2
+    # packed (1+x)^k for k = 0..n; the slot width depends on n, so the table
+    # belongs to this call
+    one_plus_x_pow = [1]
+    for _ in range(n):
+        prev = one_plus_x_pow[-1]
+        one_plus_x_pow.append(prev + (prev << width))
+    memo: dict[int, int] = {}
 
-    def solve(mask: int) -> IntPoly:
-        if mask == 0:
-            return ONE
+    def solve(mask: int) -> int:
         hit = memo.get(mask)
         if hit is not None:
             return hit
-        if not any(adj[v] & mask for v in _bits(mask)):
-            result = _one_plus_x_pow(mask.bit_count())
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & mask:
+                break
+            rest ^= low
+        if not rest:
+            result = one_plus_x_pow[mask.bit_count()]
         else:
             comps = mask_components(adj, mask)
             if len(comps) > 1:
-                result = ONE
-                for comp in comps:
-                    result = result * solve(comp)
+                result = solve(comps[0])
+                for comp in comps[1:]:
+                    result *= solve(comp)
             else:
                 v = _max_degree_vertex(adj, mask)
-                result = solve(mask & ~(1 << v)) + solve(mask & ~closed[v]).shift(1)
+                result = solve(mask & ~(1 << v)) + (solve(mask & ~closed[v]) << width)
         memo[mask] = result
         return result
 
-    return solve(g.full_mask)
+    packed = solve(g.full_mask)
+    slot = (1 << width) - 1
+    coeffs = []
+    while packed:
+        coeffs.append(packed & slot)
+        packed >>= width
+    return IntPoly(coeffs)
 
 
 def brute_force_independence_polynomial(g: Graph) -> IntPoly:

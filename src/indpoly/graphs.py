@@ -267,8 +267,29 @@ def _ladder_edges(n: int) -> list[tuple[int, int]]:
     return edges
 
 
+# parameter count of each fixed-arity kind; complete_multipartite takes one
+# or more part sizes
+_FAMILY_ARITY = {
+    "path": 1,
+    "cycle": 1,
+    "complete": 1,
+    "empty": 1,
+    "star": 1,
+    "ladder_h": 1,
+    "pendant_ladder_g": 1,
+    "tree_t": 0,
+    "tree_t1": 0,
+}
+
+
 def build_family(spec: FamilySpec) -> Graph:
     kind, params = spec.kind, spec.params
+    arity = _FAMILY_ARITY.get(kind)
+    if arity is not None and len(params) != arity:
+        raise GraphError(
+            f"family {kind} takes {arity} parameter{'' if arity == 1 else 's'},"
+            f" got {len(params)}"
+        )
     if kind == "path":
         (n,) = params
         return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
@@ -315,12 +336,8 @@ def build_family(spec: FamilySpec) -> Graph:
         edges.append((2 * n, 2 * (n - 1)))
         return Graph.from_edges(2 * n + 1, edges)
     if kind == "tree_t":
-        if params:
-            raise GraphError("tree_t takes no parameters")
         return Graph.from_edges(5, _TREE_T_EDGES)
     if kind == "tree_t1":
-        if params:
-            raise GraphError("tree_t1 takes no parameters")
         return Graph.from_edges(6, _TREE_T1_EDGES)
     raise GraphError(f"unknown family kind {kind!r}")
 
@@ -364,9 +381,11 @@ def mask_components(adj, mask: int) -> list[int]:
         frontier = comp
         while frontier:
             grown = 0
-            for v in _bits(frontier):
-                grown |= adj[v] & mask
-            frontier = grown & ~comp
+            while frontier:
+                low = frontier & -frontier
+                grown |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & mask & ~comp
             comp |= frontier
         comps.append(comp)
         rest &= ~comp
@@ -384,10 +403,14 @@ def components(g: Graph) -> list[int]:
 
 def _max_degree_vertex(adj, mask: int) -> int:
     best_v, best_d = -1, -1
-    for v in _bits(mask):
+    rest = mask
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
         d = (adj[v] & mask).bit_count()
         if d > best_d:
             best_v, best_d = v, d
+        rest ^= low
     return best_v
 
 

@@ -395,12 +395,12 @@ def _sign_variations(signs: list[int]) -> int:
     return count
 
 
-def count_distinct_real_roots(f: IntPoly) -> int:
-    """Number of distinct real zeros, by Sturm's theorem on (-inf, +inf)."""
-    s = square_free_part(f)
-    if s.degree <= 0:
+def _square_free_real_roots(s: tuple[int, ...]) -> int:
+    """Sturm count of real zeros of a square-free polynomial, given by its
+    coefficients; every zero is simple, so the count is of distinct zeros."""
+    if len(s) <= 1:
         return 0
-    chain = _sturm_chain(list(s.coeffs))
+    chain = _sturm_chain(list(s))
     at_plus = []
     at_minus = []
     for p in chain:
@@ -409,6 +409,11 @@ def count_distinct_real_roots(f: IntPoly) -> int:
         at_plus.append(sign)
         at_minus.append(sign if (len(p) - 1) % 2 == 0 else -sign)
     return _sign_variations(at_minus) - _sign_variations(at_plus)
+
+
+def count_distinct_real_roots(f: IntPoly) -> int:
+    """Number of distinct real zeros, by Sturm's theorem on (-inf, +inf)."""
+    return _square_free_real_roots(square_free_part(f).coeffs)
 
 
 def real_rooted(f: IntPoly) -> bool:
@@ -423,7 +428,7 @@ def real_rooted(f: IntPoly) -> bool:
     s = square_free_part(f)
     if s.degree <= 0:
         return True
-    return count_distinct_real_roots(f) == s.degree
+    return _square_free_real_roots(s.coeffs) == s.degree
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,17 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def random_regular_graph(rng: random.Random, n: int, d: int) -> Graph:
+    """Uniform random d-regular graph: configuration model, rejecting any
+    pairing with a loop or a repeated edge."""
+    points = [v for v in range(n) for _ in range(d)]
+    while True:
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i:i + 2])) for i in range(0, len(points), 2)}
+        if len(edges) == len(points) // 2 and all(u != v for u, v in edges):
+            return Graph.from_edges(n, sorted(edges))
+
+
 def all_prufer_trees(n: int):
     """All n^(n-2) labeled trees, by decoding every sequence."""
     from indpoly.graphs import prufer_decode

@@ -80,6 +80,16 @@ def test_poly_bad_family_exit_2():
     assert proc.returncode == 2
 
 
+def test_poly_family_arity_exit_2():
+    for spec, message in (
+        ("path:", "family path takes 1 parameter, got 0"),
+        ("cycle:3,4", "family cycle takes 1 parameter, got 2"),
+    ):
+        proc = run_cli("poly", "--family", spec)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # product
 # ---------------------------------------------------------------------------
@@ -215,6 +225,29 @@ def test_scan_trees_deterministic_and_parallel(tmp_path):
     assert p1.returncode == p2.returncode == p3.returncode == 0
     assert p1.stdout == p2.stdout == p3.stdout
     assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
+
+
+def test_scan_resume_matches_one_scan(tmp_path):
+    whole, resumed = tmp_path / "whole.jsonl", tmp_path / "resumed.jsonl"
+    assert run_cli("scan", "trees", "--nmax", "7", "--out", str(whole)).returncode == 0
+    assert run_cli("scan", "trees", "--nmax", "6", "--out", str(resumed)).returncode == 0
+    proc = run_cli("scan", "trees", "--nmin", "7", "--nmax", "7", "--out", str(resumed))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "n=7: 11 trees, 0 violations\n"
+    assert resumed.read_bytes() == whole.read_bytes()
+    # resuming over sizes already written replaces them instead of repeating them
+    proc = run_cli("scan", "trees", "--nmin", "6", "--nmax", "7", "--out", str(resumed))
+    assert proc.returncode == 0, proc.stderr
+    assert resumed.read_bytes() == whole.read_bytes()
+
+
+def test_scan_resume_refuses_foreign_file(tmp_path):
+    path = tmp_path / "notes.txt"
+    path.write_text("not a scan\n")
+    proc = run_cli("scan", "trees", "--nmin", "3", "--nmax", "4", "--out", str(path))
+    assert proc.returncode == 2
+    assert "line 1" in proc.stderr
+    assert path.read_text() == "not a scan\n"
 
 
 def test_scan_io_error_exit_4(tmp_path):

@@ -56,6 +56,18 @@ def test_brute_force_cap():
         brute_force_independence_polynomial(fam("empty", 25))
 
 
+def test_packed_slots_closed_forms():
+    # the largest coefficients a 64-vertex input can produce; a slot that
+    # carried would corrupt the coefficient above it
+    assert independence_polynomial(fam("empty", 64)) == ONE_PLUS_X ** 64
+    matching = Graph.from_edges(64, [(2 * i, 2 * i + 1) for i in range(32)])
+    assert independence_polynomial(matching) == IntPoly((1, 2)) ** 32
+    assert independence_polynomial(fam("star", 63)) == ONE_PLUS_X ** 63 + IntPoly((0, 1))
+    assert independence_polynomial(fam("complete", 64)) == IntPoly((1, 64))
+    k3232 = fam("complete_multipartite", 32, 32)
+    assert independence_polynomial(k3232) == 2 * ONE_PLUS_X ** 32 - 1
+
+
 def test_zero_vertex_graph():
     g = Graph.from_edges(0, [])
     assert independence_polynomial(g) == IntPoly((1,))
@@ -85,6 +97,17 @@ def test_degree_equals_alpha():
     for _ in range(100):
         g = helpers.random_graph(rng, rng.randint(1, 12), rng.random())
         assert independence_polynomial(g).degree == alpha(g)
+
+
+def test_degree_equals_alpha_large():
+    # graphs.alpha is a separate max-branching recursion, so it checks the
+    # packed engine's degree above the brute-force cap
+    rng = random.Random(2525)
+    graphs = [helpers.random_graph(rng, rng.randint(25, 64), rng.choice([0.1, 0.2, 0.3]))
+              for _ in range(6)]
+    graphs += [helpers.random_regular_graph(rng, n, 3) for n in (26, 40, 64)]
+    for g in graphs:
+        assert alpha(g) == independence_polynomial(g).degree
 
 
 def test_disjoint_union_multiplies():
