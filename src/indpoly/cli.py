@@ -9,10 +9,11 @@ failure, 2 parse error, 3 capacity exceeded, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
-from multiprocessing import Pool
 
 from .engine import independence_polynomial
 from .graphs import (
@@ -21,10 +22,10 @@ from .graphs import (
     Graph,
     GraphError,
     GraphParseError,
+    MAX_VERTICES,
     build_family,
     parse_edge_list,
     parse_graph6,
-    tree_canonical_code,
 )
 from .polynomials import coeffs_as_strings, property_report
 from .products import (
@@ -74,14 +75,19 @@ def parse_family_token(token: str) -> FamilySpec:
     if rest:
         for piece in rest.split(","):
             piece = piece.strip()
+            value, x, count = piece.partition("x")
             try:
-                if "x" in piece:
-                    value, count = piece.split("x")
-                    params.extend([int(value)] * int(count))
-                else:
-                    params.append(int(piece))
+                value, count = int(value), int(count) if x else 1
             except ValueError:
                 raise GraphParseError(f"bad family parameter {piece!r}") from None
+            if count < 0:
+                raise GraphParseError(f"bad family parameter {piece!r}")
+            if len(params) + count > MAX_VERTICES:
+                # no family takes more: a multipartite part has a vertex
+                raise CapacityError(
+                    f"family {name} repeats a parameter past {MAX_VERTICES} parameters"
+                )
+            params.extend([value] * count)
     return FamilySpec(kind, tuple(params))
 
 
@@ -250,19 +256,36 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _scan_worker(payload):
-    n, edges = payload
-    g = Graph.from_edges(n, edges)
-    poly = independence_polynomial(g)
-    report = property_report(poly)
-    result = ver.ScanResult(tree_canonical_code(g), n, poly, report)
-    return ver.scan_result_to_json(result), report.unimodal
+@contextlib.contextmanager
+def _scan_pool(jobs: int):
+    """A spawn-context worker pool of min(jobs, CPU count) processes, or None
+    when that leaves one; multiprocessing is imported only here."""
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1:
+        yield None
+        return
+    import multiprocessing
+
+    pool = multiprocessing.get_context("spawn").Pool(workers)
+    try:
+        yield pool
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.close()
+        pool.join()
 
 
 def _resume_offset(path: str, nmin: int) -> int:
     """Byte length of the leading complete lines of an earlier scan at `path`
-    whose trees have fewer than nmin vertices."""
+    whose trees have fewer than nmin vertices.
+
+    Every kept size must hold all of its trees; otherwise the resume is
+    refused, naming the first incomplete size.
+    """
     offset = 0
+    kept = dict.fromkeys(range(2, nmin), 0)
     with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.endswith(b"\n"):
@@ -270,12 +293,20 @@ def _resume_offset(path: str, nmin: int) -> int:
             try:
                 n = json.loads(line)["n"]
             except (ValueError, KeyError, TypeError):
-                raise GraphParseError(
-                    f"{path}: line {lineno}: not a scan result line"
-                ) from None
+                n = None
+            if not isinstance(n, int) or n < 2:
+                raise GraphParseError(f"{path}: line {lineno}: not a scan result line")
             if n >= nmin:
                 break
+            kept[n] += 1
             offset += len(line)
+    for n, count in kept.items():
+        expected = ver.free_tree_count(n)
+        if count != expected:
+            raise GraphParseError(
+                f"{path}: size {n} is incomplete ({count} of {expected} trees);"
+                f" resume with --nmin {n}"
+            )
     return offset
 
 
@@ -290,22 +321,18 @@ def cmd_scan(args) -> int:
     if args.nmin > 2 and os.path.exists(args.out):
         # resume: keep the sizes below nmin, drop anything written after them
         os.truncate(args.out, _resume_offset(args.out, args.nmin))
-    with open(args.out, "w" if args.nmin == 2 else "a", encoding="utf-8") as handle:
-        for n in range(args.nmin, args.nmax + 1):
-            # distinct_trees is already sorted by canonical code, and
-            # Pool.map preserves order, so output stays deterministic
-            payloads = [(n, tuple(g.edges())) for g in ver.distinct_trees(n)]
-            if args.jobs > 1:
-                with Pool(args.jobs) as pool:
-                    rows = pool.map(_scan_worker, payloads)
-            else:
-                rows = [_scan_worker(p) for p in payloads]
-            violations = sum(1 for _, unimodal in rows if not unimodal)
-            total_violations += violations
-            for line, _ in rows:
-                handle.write(line + "\n")
+    with open(args.out, "w" if args.nmin == 2 else "a", encoding="utf-8") as handle, \
+            _scan_pool(args.jobs) as pool:
+        results = ver.tree_scan(args.nmin, args.nmax, pool)
+        for n, group in itertools.groupby(results, key=lambda result: result.n):
+            count = violations = 0
+            for result in group:
+                handle.write(ver.scan_result_to_json(result) + "\n")
+                count += 1
+                violations += not result.report.unimodal
             handle.flush()
-            print(f"n={n}: {len(rows)} trees, {violations} violations")
+            total_violations += violations
+            print(f"n={n}: {count} trees, {violations} violations")
     return 0 if total_violations == 0 else 1
 
 

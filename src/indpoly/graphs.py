@@ -282,6 +282,22 @@ _FAMILY_ARITY = {
 }
 
 
+# vertex count of each kind, from its parameters alone, so that the cap is
+# checked before any edge list is built
+_FAMILY_ORDER = {
+    "path": lambda p: p[0],
+    "cycle": lambda p: p[0],
+    "complete": lambda p: p[0],
+    "empty": lambda p: p[0],
+    "star": lambda p: p[0] + 1,
+    "complete_multipartite": sum,
+    "ladder_h": lambda p: 2 * p[0],
+    "pendant_ladder_g": lambda p: 2 * p[0] + 1,
+    "tree_t": lambda p: 5,
+    "tree_t1": lambda p: 6,
+}
+
+
 def build_family(spec: FamilySpec) -> Graph:
     kind, params = spec.kind, spec.params
     arity = _FAMILY_ARITY.get(kind)
@@ -289,6 +305,11 @@ def build_family(spec: FamilySpec) -> Graph:
         raise GraphError(
             f"family {kind} takes {arity} parameter{'' if arity == 1 else 's'},"
             f" got {len(params)}"
+        )
+    order = _FAMILY_ORDER[kind](params)
+    if order > MAX_VERTICES:
+        raise CapacityError(
+            f"family {kind} has {order} vertices, which exceeds the cap of {MAX_VERTICES}"
         )
     if kind == "path":
         (n,) = params

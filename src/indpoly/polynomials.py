@@ -33,6 +33,11 @@ class IntPoly:
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
 
+    def __reduce__(self):
+        # rebuild through __init__; the default slot restore would go
+        # through the refusing __setattr__
+        return (IntPoly, (self.coeffs,))
+
     # -- basic queries ------------------------------------------------------
 
     @property

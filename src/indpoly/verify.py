@@ -1,6 +1,11 @@
 """Mechanized checkers for composition conditions, rooted-tree products, the
 pendant-ladder family, and the exhaustive small-tree scan.
 
+The scan enumerates free trees with the level-sequence generator of Wright,
+Richmond, Odlyzko and McKay (Beyer-Hedetniemi successor steps over rooted
+trees rooted at a centre), standard library only; distinct canonical codes
+check that no class comes out twice.
+
 Condition checkers take raw coefficient data so hypotheses can be fuzzed
 independently of graph realizability; graph-level wrappers feed them real
 instances.  A checker returning ``holds=False`` makes no claim: the conditions
@@ -16,8 +21,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
-
-import networkx as nx
 
 from .engine import independence_polynomial
 from .graphs import (
@@ -325,32 +328,131 @@ def pendant_ladder_family_check(n_max: int) -> list[dict]:
 TREE_SCAN_MAX = 14
 
 
-def distinct_trees(n: int) -> list[Graph]:
-    """All non-isomorphic trees on n vertices, sorted by canonical code."""
+def _next_rooted(levels: list[int], p: int | None = None) -> list[int] | None:
+    """Beyer-Hedetniemi successor: the level sequence of the next rooted tree
+    in decreasing order, or None after the star.
+
+    With p the position to advance (by default the last vertex deeper than
+    level 1) and q its parent, the sequence from p on repeats the levels
+    from q on, with period p - q.
+    """
+    if p is None:
+        p = len(levels) - 1
+        while levels[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    out = levels[:p]
+    for i in range(p, len(levels)):
+        out.append(out[i - p + q])
+    return out
+
+
+def _split_first_subtree(levels: list[int]) -> tuple[list[int], list[int]]:
+    """The first subtree of the root (levels relative to its own root) and
+    the rest of the tree (the root and its other subtrees)."""
+    m = next((i for i in range(2, len(levels)) if levels[i] == 1), len(levels))
+    return [v - 1 for v in levels[1:m]], [0] + levels[m:]
+
+
+def _free_level_sequences(n: int) -> Iterator[list[int]]:
+    """One level sequence per free tree on n vertices, by the algorithm of
+    Wright, Richmond, Odlyzko and McKay (SIAM J. Comput. 15, 1986).
+
+    The walk visits rooted trees in decreasing level-sequence order from the
+    path rooted at its centre.  A rooted tree is kept when its root is a
+    centre and, for a bicentral tree, its first subtree is no larger than the
+    rest (by size, then by level sequence), so every free tree is kept once;
+    from a rejected tree the walk jumps straight to the next kept one.
+    """
     if n == 1:
-        return [Graph.from_edges(1, [])]
-    trees = []
-    for t in nx.nonisomorphic_trees(n):
-        trees.append(Graph.from_edges(n, t.edges()))
-    coded = sorted((tree_canonical_code(g), g) for g in trees)
-    codes = [c for c, _ in coded]
-    if len(set(codes)) != len(codes):
+        yield [0]
+        return
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while levels is not None:
+        left, rest = _split_first_subtree(levels)
+        h_left, h_rest = max(left), max(rest)
+        if h_left > h_rest or (
+            h_left == h_rest and (len(left), left) > (len(rest), rest)
+        ):
+            # advance the last vertex of the first subtree; past depth 2 the
+            # tail is reset to a path from the root as deep as that subtree,
+            # so that the root stays a centre
+            p = len(left)
+            jumped = _next_rooted(levels, p)
+            if levels[p] > 2:
+                h = max(_split_first_subtree(jumped)[0])
+                jumped[n - h - 1:] = range(1, h + 2)
+            levels = jumped
+        yield levels
+        levels = _next_rooted(levels)
+
+
+def _level_sequence_tree(levels: list[int]) -> Graph:
+    """The tree of a level sequence: each vertex hangs from the latest
+    vertex one level up, kept on a stack of the current root path."""
+    adj = [0] * len(levels)
+    path: list[int] = []
+    for v, depth in enumerate(levels):
+        del path[depth:]
+        if depth:
+            u = path[-1]
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        path.append(v)
+    return Graph(len(levels), tuple(adj))
+
+
+def free_tree_count(n: int) -> int:
+    """Number of non-isomorphic trees on n >= 1 vertices, by generation."""
+    return sum(1 for _ in _free_level_sequences(n))
+
+
+def distinct_trees(n: int) -> list[tuple[bytes, Graph]]:
+    """All non-isomorphic trees on n >= 1 vertices as (canonical code, tree)
+    pairs, sorted by code."""
+    if n < 1:
+        raise ValueError("a tree needs at least 1 vertex")
+    coded = sorted(
+        (
+            (tree_canonical_code(g), g)
+            for g in map(_level_sequence_tree, _free_level_sequences(n))
+        ),
+        key=lambda pair: pair[0],
+    )
+    if len({code for code, _ in coded}) != len(coded):
         raise AssertionError("canonical code collision in tree enumeration")
-    return [g for _, g in coded]
+    return coded
 
 
-def tree_scan(n_min: int, n_max: int) -> Iterator[ScanResult]:
+# trees per task sent to a worker pool: one tree is well under a millisecond
+# of work, so single-tree tasks would spend most of their time in transfer
+_SCAN_CHUNK = 32
+
+
+def _scan_tree(coded: tuple[bytes, Graph]) -> ScanResult:
+    code, g = coded
+    poly = independence_polynomial(g)
+    return ScanResult(code, g.n, poly, property_report(poly))
+
+
+def tree_scan(n_min: int, n_max: int, pool=None) -> Iterator[ScanResult]:
     """Scan all non-isomorphic trees with n_min <= n <= n_max.
 
     Results stream in (n, canonical_code) order so output is deterministic
-    and long scans can be restarted at the next n.
+    and long scans can be restarted at the next n.  With a
+    `multiprocessing` pool the trees are solved in its workers; the
+    order-preserving `imap` keeps the same output order.
     """
     if not (2 <= n_min <= n_max <= TREE_SCAN_MAX):
         raise ValueError(f"bounds must satisfy 2 <= n_min <= n_max <= {TREE_SCAN_MAX}")
-    for n in range(n_min, n_max + 1):
-        for g in distinct_trees(n):
-            poly = independence_polynomial(g)
-            yield ScanResult(tree_canonical_code(g), n, poly, property_report(poly))
+    trees = (pair for n in range(n_min, n_max + 1) for pair in distinct_trees(n))
+    if pool is None:
+        return map(_scan_tree, trees)
+    return pool.imap(_scan_tree, trees, chunksize=_SCAN_CHUNK)
 
 
 def scan_result_to_json(result: ScanResult) -> str:

@@ -4,14 +4,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from indpoly.cli import load_graph_source
+from indpoly.graphs import CapacityError, Graph
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, **kwargs):
+def run_python(*args, **kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "indpoly", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -19,10 +24,24 @@ def run_cli(*args, **kwargs):
     )
 
 
+def run_cli(*args, **kwargs):
+    return run_python("-m", "indpoly", *args, **kwargs)
+
+
 def run_json(*args):
     proc = run_cli(*args)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def test_import_needs_no_networkx_or_multiprocessing():
+    proc = run_python(
+        "-c",
+        "import sys, indpoly.cli; "
+        "print([m for m in ('networkx', 'multiprocessing') if m in sys.modules])",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +95,19 @@ def test_poly_bad_g6_exit_2():
 
 
 def test_poly_bad_family_exit_2():
-    proc = run_cli("poly", "--family", "noidea:3")
-    assert proc.returncode == 2
+    for spec in ("noidea:3", "multipartite:1x-1", "multipartite:1x2x3"):
+        proc = run_cli("poly", "--family", spec)
+        assert proc.returncode == 2, spec
+
+
+def test_family_cap_checked_before_edges(monkeypatch):
+    def refuse(cls, n, edges):
+        raise AssertionError(f"edge list built for {n} vertices")
+
+    monkeypatch.setattr(Graph, "from_edges", classmethod(refuse))
+    for source in ("family:multipartite:1x65", "family:path:65", "family:multipartite:2x30,1x5"):
+        with pytest.raises(CapacityError):
+            load_graph_source(source)
 
 
 def test_poly_family_arity_exit_2():
@@ -248,6 +278,25 @@ def test_scan_resume_refuses_foreign_file(tmp_path):
     assert proc.returncode == 2
     assert "line 1" in proc.stderr
     assert path.read_text() == "not a scan\n"
+
+
+def test_scan_resume_refuses_incomplete_size(tmp_path):
+    torn = tmp_path / "torn.jsonl"
+    assert run_cli("scan", "trees", "--nmax", "2", "--out", str(torn)).returncode == 0
+    torn.write_bytes(torn.read_bytes()[:-5])
+    before = torn.read_bytes()
+    proc = run_cli("scan", "trees", "--nmin", "3", "--nmax", "7", "--out", str(torn))
+    assert proc.returncode == 2
+    assert "size 2 is incomplete (0 of 1 trees)" in proc.stderr
+    assert torn.read_bytes() == before
+    # a size missing between complete ones is named too
+    gap = tmp_path / "gap.jsonl"
+    assert run_cli("scan", "trees", "--nmax", "4", "--out", str(gap)).returncode == 0
+    before = gap.read_bytes()
+    proc = run_cli("scan", "trees", "--nmin", "6", "--nmax", "7", "--out", str(gap))
+    assert proc.returncode == 2
+    assert "size 5 is incomplete (0 of 3 trees)" in proc.stderr
+    assert gap.read_bytes() == before
 
 
 def test_scan_io_error_exit_4(tmp_path):

@@ -403,3 +403,31 @@ def test_prufer_decode_errors():
 def test_capacity_cap():
     with pytest.raises(CapacityError):
         Graph.from_edges(65, [])
+
+
+# each kind at the cap, and (kind, params) one step past it
+_FAMILIES_AT_CAP = (
+    (("path", (64,)), ("path", (65,))),
+    (("cycle", (64,)), ("cycle", (65,))),
+    (("complete", (64,)), ("complete", (65,))),
+    (("empty", (64,)), ("empty", (65,))),
+    (("star", (63,)), ("star", (64,))),
+    (("complete_multipartite", (1,) * 64), ("complete_multipartite", (1,) * 65)),
+    (("complete_multipartite", (32, 32)), ("complete_multipartite", (32, 33))),
+    (("ladder_h", (32,)), ("ladder_h", (33,))),
+    (("pendant_ladder_g", (31,)), ("pendant_ladder_g", (32,))),
+)
+
+
+def test_family_cap_checked_before_edges(monkeypatch):
+    for (kind, params), _ in _FAMILIES_AT_CAP:
+        g = build_family(FamilySpec(kind, params))
+        assert g.n == (63 if kind == "pendant_ladder_g" else 64), kind
+
+    def refuse(cls, n, edges):
+        raise AssertionError(f"edge list built for {n} vertices")
+
+    monkeypatch.setattr(Graph, "from_edges", classmethod(refuse))
+    for _, (kind, params) in _FAMILIES_AT_CAP:
+        with pytest.raises(CapacityError):
+            build_family(FamilySpec(kind, params))

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -93,6 +94,13 @@ def test_add_sub_roundtrip(a, b):
 def test_string_serialization_roundtrip():
     f = poly(1, 10 ** 40, -3)
     assert poly_from_strings(coeffs_as_strings(f)) == f
+
+
+def test_pickle_roundtrip():
+    # scan workers return polynomials to the parent process by pickle
+    for f in (poly(), poly(1, 2, 3), poly(1, 10 ** 40, -3)):
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and g.coeffs == f.coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from indpoly.verify import (
     composition_soundness_scan,
     composition_unimodality_condition,
     distinct_trees,
+    free_tree_count,
     increasing_coefficients_case,
     pendant_ladder_family_check,
     pendant_ladder_recurrence,
@@ -210,8 +211,9 @@ def test_trig_expansion_checks():
 
 
 def test_distinct_tree_counts():
-    for n in range(1, 11):
+    for n in range(1, 15):
         assert len(distinct_trees(n)) == helpers.KNOWN_TREE_COUNTS[n]
+        assert free_tree_count(n) == helpers.KNOWN_TREE_COUNTS[n]
 
 
 def test_tree_scan_counts_and_violations():
