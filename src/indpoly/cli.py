@@ -18,6 +18,7 @@ import sys
 from .engine import independence_polynomial
 from .graphs import (
     CapacityError,
+    FAMILIES,
     FamilySpec,
     Graph,
     GraphError,
@@ -43,22 +44,9 @@ from . import verify as ver
 
 DEFAULT_SEED = 20240501
 
-_FAMILY_ALIASES = {
-    "path": "path",
-    "cycle": "cycle",
-    "complete": "complete",
-    "empty": "empty",
-    "star": "star",
-    "multipartite": "complete_multipartite",
-    "complete_multipartite": "complete_multipartite",
-    "hn": "ladder_h",
-    "ladder_h": "ladder_h",
-    "gn": "pendant_ladder_g",
-    "pendant_ladder_g": "pendant_ladder_g",
-    "t": "tree_t",
-    "tree_t": "tree_t",
-    "t1": "tree_t1",
-    "tree_t1": "tree_t1",
+# CLI name -> family kind: each kind under its own name and its aliases
+_FAMILY_NAMES = {
+    name: kind for kind, family in FAMILIES.items() for name in (kind, *family.aliases)
 }
 
 
@@ -68,7 +56,7 @@ def parse_family_token(token: str) -> FamilySpec:
     Examples: `path:4`, `gn:3`, `multipartite:1x26,8`, `T`, `t1`.
     """
     name, _, rest = token.partition(":")
-    kind = _FAMILY_ALIASES.get(name.strip().lower())
+    kind = _FAMILY_NAMES.get(name.strip().lower())
     if kind is None:
         raise GraphParseError(f"unknown family name {name!r}")
     params: list[int] = []
@@ -100,7 +88,7 @@ def load_graph_source(source: str) -> Graph:
         return parse_graph6(rest)
     if scheme == "file":
         with open(rest, "r", encoding="utf-8") as handle:
-            return parse_edge_list(handle.read())
+            return parse_edge_list(handle)
     raise GraphParseError(
         f"graph source {source!r} must start with family:, g6: or file:"
     )
@@ -116,9 +104,8 @@ def _emit(obj) -> None:
 
 
 def cmd_poly(args) -> int:
-    if args.file:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            g = parse_edge_list(handle.read())
+    if args.file is not None:
+        g = load_graph_source(f"file:{args.file}")
     elif args.g6 is not None:
         g = parse_graph6(args.g6)
     else:
@@ -140,26 +127,32 @@ def cmd_poly(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _rooted(g1: Graph, g2: Graph, i1, i2, root):
+    if root is None:
+        raise GraphParseError("rooted product requires --root")
+    return (
+        rooted_product(g1, g2, root),
+        rooted_product_poly(i1, *rooted_factors(g2, root), g1.n),
+    )
+
+
+# kind -> (g1, g2, I(g1), I(g2), root) -> (product graph, its polynomial by
+# formula).  Each entry looks its functions up by name at call time, so a
+# rebinding of the module's names (perfbench/trace_run.py) reaches them.
+PRODUCTS = {
+    "lex": lambda g1, g2, i1, i2, root: (lexicographic(g1, g2), lex_poly(i1, i2)),
+    "rooted": _rooted,
+    "join": lambda g1, g2, i1, i2, root: (join(g1, g2), join_poly(i1, i2)),
+    "union": lambda g1, g2, i1, i2, root: (disjoint_union(g1, g2), union_poly(i1, i2)),
+}
+
+
 def cmd_product(args) -> int:
     g1 = load_graph_source(args.g1)
     g2 = load_graph_source(args.g2)
     i1 = independence_polynomial(g1)
     i2 = independence_polynomial(g2)
-    if args.kind == "union":
-        product = disjoint_union(g1, g2)
-        formula = union_poly(i1, i2)
-    elif args.kind == "join":
-        product = join(g1, g2)
-        formula = join_poly(i1, i2)
-    elif args.kind == "lex":
-        product = lexicographic(g1, g2)
-        formula = lex_poly(i1, i2)
-    else:
-        if args.root is None:
-            raise GraphParseError("rooted product requires --root")
-        product = rooted_product(g1, g2, args.root)
-        ihv, ihnv = rooted_factors(g2, args.root)
-        formula = rooted_product_poly(i1, ihv, ihnv, g1.n)
+    product, formula = PRODUCTS[args.kind](g1, g2, i1, i2, args.root)
     graph_level = independence_polynomial(product)
     _emit(
         {
@@ -173,82 +166,82 @@ def cmd_product(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify
+# verify: each suite maps the parsed arguments to (ok, its JSON fields)
 # ---------------------------------------------------------------------------
 
 
+def _thm22(args):
+    results = {
+        "condition_i": ver.composition_soundness_scan(
+            "log_concave", samples=args.samples, seed=args.seed
+        ),
+        "condition_ii": ver.composition_soundness_scan(
+            "unimodal", samples=args.samples, seed=args.seed + 1
+        ),
+    }
+    return not any(result["failures"] for result in results.values()), {"results": results}
+
+
+def _prop26(args):
+    if not args.g1 or not args.g2:
+        raise GraphParseError("prop26 requires --g1 and --g2")
+    verdict = ver.well_covered_composition_condition(
+        load_graph_source(args.g1), load_graph_source(args.g2)
+    )
+    ok = (not verdict.holds) or bool(verdict.conclusion_checked)
+    return ok, {"holds": verdict.holds, "conclusion_checked": verdict.conclusion_checked}
+
+
+def _prop41(args):
+    if not args.g:
+        raise GraphParseError("prop41 requires --g")
+    g = load_graph_source(args.g)
+    try:
+        verdict = ver.rooted_tree_product_check(g, args.tree, args.root)
+    except ver.HypothesisViolation:
+        # hypothesis violations are reported, not fatal
+        return True, {"hypothesis_ok": False}
+    return bool(verdict.conclusion_checked), {
+        "hypothesis_ok": True,
+        "condition": verdict.condition_name,
+        "conclusion_checked": verdict.conclusion_checked,
+    }
+
+
+def _thm52(args):
+    rows = ver.pendant_ladder_family_check(args.nmax)
+    return all(row["ok"] for row in rows), {"results": rows}
+
+
+def _gn(args):
+    if args.nmax < 0:
+        raise ValueError("n_max must be >= 0")
+    rows = []
+    for n in range(args.nmax + 1):
+        expected = ver.pendant_ladder_recurrence(n)
+        actual = independence_polynomial(build_family(FamilySpec("pendant_ladder_g", (n,))))
+        rows.append({"n": n, "match": expected == actual})
+    return all(row["match"] for row in rows), {"results": rows}
+
+
+def _closedform(args):
+    return ver.pendant_ladder_trig_check(args.n, args.tol), {"n": args.n, "tol": args.tol}
+
+
+SUITES = {
+    "thm22": _thm22,
+    "prop26": _prop26,
+    "prop41": _prop41,
+    "thm52": _thm52,
+    "gn": _gn,
+    "closedform": _closedform,
+}
+
+
 def cmd_verify(args) -> int:
-    suite = args.suite
-    if suite == "thm22":
-        results = {
-            "condition_i": ver.composition_soundness_scan(
-                "log_concave", samples=args.samples, seed=args.seed
-            ),
-            "condition_ii": ver.composition_soundness_scan(
-                "unimodal", samples=args.samples, seed=args.seed + 1
-            ),
-        }
-        ok = not results["condition_i"]["failures"] and not results["condition_ii"]["failures"]
-        _emit({"suite": suite, "ok": ok, "results": results})
-        return 0 if ok else 1
-    if suite == "prop26":
-        if not args.g1 or not args.g2:
-            raise GraphParseError("prop26 requires --g1 and --g2")
-        verdict = ver.well_covered_composition_condition(
-            load_graph_source(args.g1), load_graph_source(args.g2)
-        )
-        ok = (not verdict.holds) or bool(verdict.conclusion_checked)
-        _emit(
-            {
-                "suite": suite,
-                "ok": ok,
-                "holds": verdict.holds,
-                "conclusion_checked": verdict.conclusion_checked,
-            }
-        )
-        return 0 if ok else 1
-    if suite == "prop41":
-        if not args.g:
-            raise GraphParseError("prop41 requires --g")
-        g = load_graph_source(args.g)
-        try:
-            verdict = ver.rooted_tree_product_check(g, args.tree, args.root)
-        except ver.HypothesisViolation:
-            # hypothesis violations are reported, not fatal
-            _emit({"suite": suite, "ok": True, "hypothesis_ok": False})
-            return 0
-        ok = bool(verdict.conclusion_checked)
-        _emit(
-            {
-                "suite": suite,
-                "ok": ok,
-                "hypothesis_ok": True,
-                "condition": verdict.condition_name,
-                "conclusion_checked": verdict.conclusion_checked,
-            }
-        )
-        return 0 if ok else 1
-    if suite == "thm52":
-        rows = ver.pendant_ladder_family_check(args.nmax)
-        ok = all(row["ok"] for row in rows)
-        _emit({"suite": suite, "ok": ok, "results": rows})
-        return 0 if ok else 1
-    if suite == "gn":
-        rows = []
-        for n in range(args.nmax + 1):
-            expected = ver.pendant_ladder_recurrence(n)
-            actual = independence_polynomial(
-                build_family(FamilySpec("pendant_ladder_g", (n,)))
-            )
-            rows.append({"n": n, "match": expected == actual})
-        ok = all(row["match"] for row in rows)
-        _emit({"suite": suite, "ok": ok, "results": rows})
-        return 0 if ok else 1
-    if suite == "closedform":
-        ok = ver.pendant_ladder_trig_check(args.n, args.tol)
-        _emit({"suite": suite, "ok": ok, "n": args.n, "tol": args.tol})
-        return 0 if ok else 1
-    raise GraphParseError(f"unknown suite {suite!r}")
+    ok, fields = SUITES[args.suite](args)
+    _emit({"suite": args.suite, "ok": ok, **fields})
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +275,11 @@ def _resume_offset(path: str, nmin: int) -> int:
     whose trees have fewer than nmin vertices.
 
     Every kept size must hold all of its trees; otherwise the resume is
-    refused, naming the first incomplete size.
+    refused, naming the first incomplete size.  A missing file keeps no line.
     """
     offset = 0
     kept = dict.fromkeys(range(2, nmin), 0)
-    with open(path, "rb") as handle:
+    with contextlib.suppress(FileNotFoundError), open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.endswith(b"\n"):
                 break  # torn by an aborted write
@@ -318,7 +311,7 @@ def cmd_scan(args) -> int:
             f"bounds must satisfy 2 <= nmin <= nmax <= {ver.TREE_SCAN_MAX}"
         )
     total_violations = 0
-    if args.nmin > 2 and os.path.exists(args.out):
+    if args.nmin > 2:
         # resume: keep the sizes below nmin, drop anything written after them
         os.truncate(args.out, _resume_offset(args.out, args.nmin))
     with open(args.out, "w" if args.nmin == 2 else "a", encoding="utf-8") as handle, \
@@ -341,6 +334,13 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="indpoly",
@@ -359,16 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.set_defaults(func=cmd_poly)
 
     p_prod = sub.add_parser("product", help="graph product vs formula identity")
-    p_prod.add_argument("kind", choices=["lex", "rooted", "join", "union"])
+    p_prod.add_argument("kind", choices=PRODUCTS)
     p_prod.add_argument("--g1", required=True, help="source: family:..., g6:..., file:...")
     p_prod.add_argument("--g2", required=True, help="source: family:..., g6:..., file:...")
     p_prod.add_argument("--root", type=int, help="root vertex index in g2 (rooted only)")
     p_prod.set_defaults(func=cmd_product)
 
     p_ver = sub.add_parser("verify", help="run one verification suite")
-    p_ver.add_argument(
-        "suite", choices=["thm22", "prop26", "prop41", "thm52", "gn", "closedform"]
-    )
+    p_ver.add_argument("suite", choices=SUITES)
     p_ver.add_argument("--samples", type=int, default=500)
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--nmax", type=int, default=25)
@@ -388,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_scan.add_argument("--nmax", type=int, default=10)
     p_scan.add_argument("--out", default="tree_scan.jsonl", help="JSON-lines output path")
-    p_scan.add_argument("--jobs", type=int, default=1)
+    p_scan.add_argument("--jobs", type=_positive_int, default=1)
     p_scan.set_defaults(func=cmd_scan)
     return parser
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable, Iterable, NamedTuple
 
 MAX_VERTICES = 64
 
@@ -92,8 +93,9 @@ def _check_vertex(g: Graph, v: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the "n m" / "u v" edge-list format.
+def parse_edge_list(source: str | Iterable[str]) -> Graph:
+    """Parse the "n m" / "u v" edge-list format from a string, or from an
+    open text file or any other iterable of lines, read one line at a time.
 
     Blank lines and lines starting with '#' are ignored.  Duplicate edges are
     permitted; every diagnostic names its 1-based line number.
@@ -101,7 +103,8 @@ def parse_edge_list(text: str) -> Graph:
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     n = m = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = source.splitlines() if isinstance(source, str) else source
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -216,21 +219,6 @@ def emit_graph6(g: Graph) -> str:
 # Named families
 # ---------------------------------------------------------------------------
 
-FAMILY_KINDS = frozenset(
-    {
-        "path",
-        "cycle",
-        "complete",
-        "empty",
-        "star",
-        "complete_multipartite",
-        "ladder_h",
-        "pendant_ladder_g",
-        "tree_t",
-        "tree_t1",
-    }
-)
-
 # 5-vertex tree: spider with a degree-3 center, one leg of length 2.
 # Vertices 0..3 carry the conventional root labels 1..4; vertex 4 is the
 # extra leaf hanging off the center.
@@ -238,6 +226,64 @@ _TREE_T_EDGES = ((0, 2), (4, 2), (2, 1), (1, 3))
 # 6-vertex variant with the long leg stretched to length 3; vertex 4 is the
 # unlabeled center, vertex 5 its extra leaf.
 _TREE_T1_EDGES = ((0, 4), (5, 4), (4, 1), (1, 2), (2, 3))
+
+
+def _ladder_edges(order: int) -> list[tuple[int, int]]:
+    # the first `order` vertices of a ladder whose rung c (1-based) occupies
+    # vertices 2(c-1) and 2(c-1)+1: an even order is the 2xn ladder, an odd
+    # one adds a pendant on its last top vertex (and order 1 is K1)
+    rungs = [(a, a + 1) for a in range(0, order - 1, 2)]
+    rails = [(a, a + 2) for a in range(order - 2)]
+    return rungs + rails
+
+
+def _cycle_edges(n: int) -> list[tuple[int, int]]:
+    if n < 3:
+        raise GraphError("cycle needs at least 3 vertices")
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def _multipartite_edges(*parts: int) -> list[tuple[int, int]]:
+    if not parts:
+        raise GraphError("complete_multipartite needs at least one part")
+    if any(p < 1 for p in parts):
+        raise GraphError("multipartite parts must be positive")
+    bounds = []
+    start = 0
+    for p in parts:
+        bounds.append(range(start, start + p))
+        start += p
+    return [(u, v) for a, b in combinations(bounds, 2) for u in a for v in b]
+
+
+class Family(NamedTuple):
+    """A named family: its CLI aliases besides the kind itself, its parameter
+    count (None: one or more), and its vertex count and edges as functions of
+    the parameters.  The vertex count needs no edges, so the cap is checked
+    before any edge is built."""
+
+    aliases: tuple[str, ...]
+    arity: int | None
+    order: Callable[..., int]
+    edges: Callable[..., Iterable[tuple[int, int]]]
+
+
+FAMILIES = {
+    "path": Family((), 1, lambda n: n, lambda n: [(i, i + 1) for i in range(n - 1)]),
+    "cycle": Family((), 1, lambda n: n, _cycle_edges),
+    "complete": Family((), 1, lambda n: n, lambda n: combinations(range(n), 2)),
+    "empty": Family((), 1, lambda n: n, lambda n: ()),
+    "star": Family((), 1, lambda k: k + 1, lambda k: [(0, i) for i in range(1, k + 1)]),
+    "complete_multipartite": Family(
+        ("multipartite",), None, lambda *parts: sum(parts), _multipartite_edges
+    ),
+    "ladder_h": Family(("hn",), 1, lambda n: 2 * n, lambda n: _ladder_edges(2 * n)),
+    "pendant_ladder_g": Family(
+        ("gn",), 1, lambda n: 2 * n + 1, lambda n: _ladder_edges(2 * n + 1)
+    ),
+    "tree_t": Family(("t",), 0, lambda: 5, lambda: _TREE_T_EDGES),
+    "tree_t1": Family(("t1",), 0, lambda: 6, lambda: _TREE_T1_EDGES),
+}
 
 
 @dataclass(frozen=True)
@@ -248,119 +294,28 @@ class FamilySpec:
     params: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
+        if self.kind not in FAMILIES:
             raise GraphError(f"unknown family kind {self.kind!r}")
         object.__setattr__(self, "params", tuple(int(p) for p in self.params))
         if any(p < 0 for p in self.params):
             raise GraphError("family parameters must be nonnegative")
 
 
-def _ladder_edges(n: int) -> list[tuple[int, int]]:
-    # rung c (1-based) occupies vertices 2(c-1) and 2(c-1)+1
-    edges = []
-    for c in range(n):
-        a = 2 * c
-        edges.append((a, a + 1))
-        if c + 1 < n:
-            edges.append((a, a + 2))
-            edges.append((a + 1, a + 3))
-    return edges
-
-
-# parameter count of each fixed-arity kind; complete_multipartite takes one
-# or more part sizes
-_FAMILY_ARITY = {
-    "path": 1,
-    "cycle": 1,
-    "complete": 1,
-    "empty": 1,
-    "star": 1,
-    "ladder_h": 1,
-    "pendant_ladder_g": 1,
-    "tree_t": 0,
-    "tree_t1": 0,
-}
-
-
-# vertex count of each kind, from its parameters alone, so that the cap is
-# checked before any edge list is built
-_FAMILY_ORDER = {
-    "path": lambda p: p[0],
-    "cycle": lambda p: p[0],
-    "complete": lambda p: p[0],
-    "empty": lambda p: p[0],
-    "star": lambda p: p[0] + 1,
-    "complete_multipartite": sum,
-    "ladder_h": lambda p: 2 * p[0],
-    "pendant_ladder_g": lambda p: 2 * p[0] + 1,
-    "tree_t": lambda p: 5,
-    "tree_t1": lambda p: 6,
-}
-
-
 def build_family(spec: FamilySpec) -> Graph:
     kind, params = spec.kind, spec.params
-    arity = _FAMILY_ARITY.get(kind)
+    family = FAMILIES[kind]
+    arity = family.arity
     if arity is not None and len(params) != arity:
         raise GraphError(
             f"family {kind} takes {arity} parameter{'' if arity == 1 else 's'},"
             f" got {len(params)}"
         )
-    order = _FAMILY_ORDER[kind](params)
+    order = family.order(*params)
     if order > MAX_VERTICES:
         raise CapacityError(
             f"family {kind} has {order} vertices, which exceeds the cap of {MAX_VERTICES}"
         )
-    if kind == "path":
-        (n,) = params
-        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    if kind == "cycle":
-        (n,) = params
-        if n < 3:
-            raise GraphError("cycle needs at least 3 vertices")
-        return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-    if kind == "complete":
-        (n,) = params
-        return Graph.from_edges(n, combinations(range(n), 2))
-    if kind == "empty":
-        (n,) = params
-        return Graph.from_edges(n, [])
-    if kind == "star":
-        (k,) = params
-        return Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
-    if kind == "complete_multipartite":
-        if not params:
-            raise GraphError("complete_multipartite needs at least one part")
-        if any(p < 1 for p in params):
-            raise GraphError("multipartite parts must be positive")
-        bounds = []
-        start = 0
-        for p in params:
-            bounds.append(range(start, start + p))
-            start += p
-        edges = [
-            (u, v)
-            for a, b in combinations(bounds, 2)
-            for u in a
-            for v in b
-        ]
-        return Graph.from_edges(start, edges)
-    if kind == "ladder_h":
-        (n,) = params
-        return Graph.from_edges(2 * n, _ladder_edges(n))
-    if kind == "pendant_ladder_g":
-        # 2xn ladder plus one pendant on the last top rung vertex; n=0 is K1
-        (n,) = params
-        if n == 0:
-            return Graph.from_edges(1, [])
-        edges = _ladder_edges(n)
-        edges.append((2 * n, 2 * (n - 1)))
-        return Graph.from_edges(2 * n + 1, edges)
-    if kind == "tree_t":
-        return Graph.from_edges(5, _TREE_T_EDGES)
-    if kind == "tree_t1":
-        return Graph.from_edges(6, _TREE_T1_EDGES)
-    raise GraphError(f"unknown family kind {kind!r}")
+    return Graph.from_edges(order, family.edges(*params))
 
 
 # ---------------------------------------------------------------------------

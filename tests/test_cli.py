@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from indpoly.cli import load_graph_source
-from indpoly.graphs import CapacityError, Graph
+from indpoly.cli import load_graph_source, parse_family_token
+from indpoly.graphs import FAMILIES, CapacityError, Graph
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -85,8 +85,9 @@ def test_poly_parse_error_exit_2(tmp_path):
 
 
 def test_poly_missing_file_exit_4(tmp_path):
-    proc = run_cli("poly", "--file", str(tmp_path / "absent.txt"))
-    assert proc.returncode == 4
+    for path in (str(tmp_path / "absent.txt"), ""):
+        proc = run_cli("poly", "--file", path)
+        assert proc.returncode == 4, path
 
 
 def test_poly_bad_g6_exit_2():
@@ -114,10 +115,20 @@ def test_poly_family_arity_exit_2():
     for spec, message in (
         ("path:", "family path takes 1 parameter, got 0"),
         ("cycle:3,4", "family cycle takes 1 parameter, got 2"),
+        ("t:1", "family tree_t takes 0 parameters, got 1"),
     ):
         proc = run_cli("poly", "--family", spec)
         assert proc.returncode == 2
         assert proc.stderr == f"error: {message}\n"
+
+
+def test_every_family_name_parses_to_its_kind():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text().lower()
+    for kind, family in FAMILIES.items():
+        for name in (kind, *family.aliases):
+            for spelled in (name, name.upper()):
+                assert parse_family_token(spelled).kind == kind, spelled
+            assert f"`{name}`" in readme, f"README does not name {name}"
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +215,14 @@ def test_verify_gn():
     out = run_json("verify", "gn", "--nmax", "8")
     assert out["ok"] is True
     assert all(row["match"] for row in out["results"])
+
+
+def test_verify_negative_nmax_exit_2():
+    for suite in ("thm52", "gn"):
+        proc = run_cli("verify", suite, "--nmax", "-1")
+        assert proc.returncode == 2, suite
+        assert proc.stdout == ""
+        assert proc.stderr == "error: n_max must be >= 0\n"
 
 
 def test_verify_prop26():
@@ -297,6 +316,12 @@ def test_scan_resume_refuses_incomplete_size(tmp_path):
     assert proc.returncode == 2
     assert "size 5 is incomplete (0 of 3 trees)" in proc.stderr
     assert gap.read_bytes() == before
+    # a missing file keeps no line, so its size 2 is incomplete; none is made
+    missing = tmp_path / "missing.jsonl"
+    proc = run_cli("scan", "trees", "--nmin", "5", "--nmax", "6", "--out", str(missing))
+    assert proc.returncode == 2
+    assert "size 2 is incomplete (0 of 1 trees)" in proc.stderr
+    assert not missing.exists()
 
 
 def test_scan_io_error_exit_4(tmp_path):
@@ -306,6 +331,12 @@ def test_scan_io_error_exit_4(tmp_path):
     assert proc.returncode == 4
 
 
-def test_scan_bad_bounds_exit_2():
+def test_scan_bad_bounds_exit_2(tmp_path):
     proc = run_cli("scan", "trees", "--nmax", "20")
     assert proc.returncode == 2
+    out = tmp_path / "trees.jsonl"
+    for jobs in ("0", "-4"):
+        proc = run_cli("scan", "trees", "--nmax", "4", "--jobs", jobs, "--out", str(out))
+        assert proc.returncode == 2, jobs
+        assert "--jobs" in proc.stderr
+        assert not out.exists()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 from indpoly.graphs import (
+    FAMILIES,
     CapacityError,
     FamilySpec,
     Graph,
@@ -75,6 +76,15 @@ def test_parse_edge_list_comments_and_duplicates():
 def test_parse_edge_list_errors(text, fragment):
     with pytest.raises(GraphParseError, match=fragment):
         parse_edge_list(text)
+
+
+def test_parse_edge_list_streams_lines():
+    def lines():
+        yield from ("2 1", "0 1", "0 1")
+        raise AssertionError("line 4 pulled")
+
+    with pytest.raises(GraphParseError, match="line 3: more than 1 edge lines"):
+        parse_edge_list(lines())
 
 
 def test_edge_list_roundtrip_random():
@@ -420,6 +430,9 @@ _FAMILIES_AT_CAP = (
 
 
 def test_family_cap_checked_before_edges(monkeypatch):
+    # every kind is covered; the two fixed trees have no parameter to raise
+    at_cap = {kind for (kind, _), _ in _FAMILIES_AT_CAP}
+    assert at_cap | {"tree_t", "tree_t1"} == set(FAMILIES)
     for (kind, params), _ in _FAMILIES_AT_CAP:
         g = build_family(FamilySpec(kind, params))
         assert g.n == (63 if kind == "pendant_ladder_g" else 64), kind
