@@ -4,6 +4,7 @@ and real-rootedness checkers."""
 from .engine import (
     brute_force_independence_polynomial,
     coefficient,
+    frontier_independence_polynomial,
     independence_polynomial,
 )
 from .graphs import (

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -95,7 +96,8 @@ def load_graph_source(source: str) -> Graph:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    # allow_nan=False: NaN and Infinity are not JSON, so they never reach stdout
+    print(json.dumps(obj, sort_keys=True, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +343,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="indpoly",
@@ -367,11 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run one verification suite")
     p_ver.add_argument("suite", choices=SUITES)
-    p_ver.add_argument("--samples", type=int, default=500)
+    p_ver.add_argument("--samples", type=_positive_int, default=500)
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--nmax", type=int, default=25)
     p_ver.add_argument("--n", type=int, default=11)
-    p_ver.add_argument("--tol", type=float, default=1e-6)
+    p_ver.add_argument("--tol", type=_positive_float, default=1e-6)
     p_ver.add_argument("--g", help="graph source (prop41)")
     p_ver.add_argument("--g1", help="graph source (prop26)")
     p_ver.add_argument("--g2", help="graph source (prop26)")

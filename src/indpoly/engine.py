@@ -1,33 +1,64 @@
 """Exact independence polynomial computation.
 
-Two routes exist on purpose.  ``independence_polynomial`` is the fast path:
+Three routes exist on purpose.  ``independence_polynomial`` is the fast path:
 the classic vertex recursion I(G) = I(G-v) + x*I(G-N[v]) over induced-subgraph
 masks, with connected components multiplied separately, edgeless remainders
-short-circuited to (1+x)^k, and results memoized by mask.
+short-circuited to (1+x)^k, and results memoized by mask; a component whose
+frontier is narrow is handed to the frontier DP below.
+``frontier_independence_polynomial`` runs that DP alone, with no branching,
+so the two mechanisms check each other on graphs of any size.
 ``brute_force_independence_polynomial`` enumerates every independent set with
-no sharing at all, so it can certify the fast path.
+no sharing at all, so it can certify both up to 24 vertices.
 
-Inside the recursion a polynomial is packed into one Python int by Kronecker
+Inside both engines a polynomial is packed into one Python int by Kronecker
 substitution: coefficient k sits in bits [k*B, (k+1)*B) with B = n + 2.  Every
-intermediate value is I(H) for an induced subgraph H, whose coefficients sum
-to at most 2^|H| <= 2^n, so no slot ever carries into the next.  Addition is
-then one int addition, multiplying by x is a shift by B, and a component
-product is one big-int multiplication.  The packed root value is unpacked into
-an ``IntPoly`` once, at the end.
+intermediate value counts independent sets of at most n vertices, by size, so
+its coefficients sum to at most 2^n and no slot ever carries into the next.
+Addition is then one int addition, multiplying by x is a shift by B, and a
+component product is one big-int multiplication.  The packed root value is
+unpacked into an ``IntPoly`` once, at the end.
+
+The frontier DP follows a path decomposition (H. Bodlaender, "A tourist guide
+through treewidth", 1993).  ``frontier_order`` introduces the vertices of a
+mask one at a time, greedily keeping the frontier small: the frontier is the
+set of introduced vertices with a neighbour still to come.  A DP state is an
+independent subset of the frontier; introducing a vertex extends each state it
+has no neighbour in, and a vertex leaves the states once its last neighbour is
+in.  A step with frontier width w touches at most 2^w states, so the sum of
+2^w over the steps estimates the DP's cost before it runs.
+
+Dispatch: at a connected, non-edgeless node of at least ``_DP_MIN_VERTICES``
+vertices, the recursion orders the component, unless its mean degree is above
+``_DP_MAX_MEAN_DEGREE``, where frontiers grow too wide to be worth ordering.
+If the cost estimate stays within ``_DP_BUDGET_PER_VERTEX`` times the
+component's size, the DP solves the component; otherwise the recursion
+branches on a vertex of maximum degree.  The order is abandoned as soon as it
+passes the budget.  Inputs under ``_DP_MIN_VERTICES`` vertices, such as the
+trees of the tree scan, never reach the check.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .graphs import Graph, GraphError, _max_degree_vertex, mask_components
+from .graphs import Graph, GraphError, _bits, _max_degree_vertex, mask_components
 from .polynomials import IntPoly
 
 BRUTE_FORCE_CAP = 24
 
 
-def independence_polynomial(g: Graph) -> IntPoly:
-    """Exact I(G;x) for graphs up to 64 vertices."""
+# Dispatch thresholds of the frontier DP (see the module docstring).
+_DP_MIN_VERTICES = 20
+_DP_MAX_MEAN_DEGREE = 5
+_DP_BUDGET_PER_VERTEX = 512
+
+
+def independence_polynomial(g: Graph, *, _dispatch: bool = True) -> IntPoly:
+    """Exact I(G;x) for graphs up to 64 vertices.
+
+    ``_dispatch=False`` keeps every node in the branching recursion; tests use
+    it to compare the two routes.
+    """
     adj = g.adj
     n = g.n
     closed = tuple(adj[v] | (1 << v) for v in range(n))
@@ -59,12 +90,124 @@ def independence_polynomial(g: Graph) -> IntPoly:
                 for comp in comps[1:]:
                     result *= solve(comp)
             else:
-                v = _max_degree_vertex(adj, mask)
-                result = solve(mask & ~(1 << v)) + (solve(mask & ~closed[v]) << width)
+                steps = None
+                size = mask.bit_count()
+                if _dispatch and size >= _DP_MIN_VERTICES:
+                    steps = frontier_order(adj, mask, _DP_BUDGET_PER_VERTEX * size,
+                                           _DP_MAX_MEAN_DEGREE)
+                if steps is not None:
+                    result = frontier_dp(adj, steps, width)
+                else:
+                    v = _max_degree_vertex(adj, mask)
+                    result = solve(mask & ~(1 << v)) + (solve(mask & ~closed[v]) << width)
         memo[mask] = result
         return result
 
-    packed = solve(g.full_mask)
+    return _unpack(solve(g.full_mask), width)
+
+
+def frontier_independence_polynomial(g: Graph) -> IntPoly:
+    """Exact I(G;x) by the frontier DP alone, with no branching and no budget."""
+    width = g.n + 2
+    return _unpack(frontier_dp(g.adj, frontier_order(g.adj, g.full_mask), width), width)
+
+
+def frontier_order(adj, mask: int, budget: int | None = None,
+                   max_mean_degree: int | None = None) -> list[tuple[int, int]] | None:
+    """A vertex order of the mask for ``frontier_dp``: one (vertex, forget
+    mask) pair per step, the forget mask naming the vertices that leave the
+    frontier once the vertex is in.
+
+    Each step introduces, among the neighbours of the frontier, the vertex
+    that leaves the smallest frontier; ties go to the vertex with more
+    neighbours in the frontier, then to the lower index.  When the frontier
+    has no neighbour left (at the start, or between components), a vertex of
+    least degree starts the next run.  Returns None, before any order is
+    built, if the mean degree in the mask is above ``max_mean_degree``, or as
+    soon as the sum of 2^(frontier width) over the steps passes ``budget``.
+    """
+    remaining = [0] * len(adj)
+    rest = mask
+    degree_sum = 0
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        remaining[v] = adj[v] & mask
+        degree_sum += remaining[v].bit_count()
+        rest ^= low
+    if max_mean_degree is not None and degree_sum > max_mean_degree * mask.bit_count():
+        return None
+    steps = []
+    frontier = 0
+    todo = mask
+    cost = 0
+    while todo:
+        candidates = 0
+        rest = frontier
+        while rest:
+            low = rest & -rest
+            candidates |= remaining[low.bit_length() - 1]
+            rest ^= low
+        if not candidates:
+            candidates = 1 << min(_bits(todo), key=lambda v: remaining[v].bit_count())
+        best_v, best_size, best_links, best_forget = -1, 65, 0, 0
+        rest = candidates
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            forget = 0 if remaining[v] else low
+            inner = adj[v] & frontier
+            links = inner.bit_count()
+            while inner:
+                f = inner & -inner
+                if remaining[f.bit_length() - 1] == low:
+                    forget |= f
+                inner ^= f
+            size = (frontier | low).bit_count() - forget.bit_count()
+            if size < best_size or (size == best_size and links > best_links):
+                best_v, best_size, best_links, best_forget = v, size, links, forget
+        low = 1 << best_v
+        todo ^= low
+        rest = adj[best_v] & mask
+        while rest:
+            f = rest & -rest
+            remaining[f.bit_length() - 1] &= ~low
+            rest ^= f
+        frontier = (frontier | low) & ~best_forget
+        steps.append((best_v, best_forget))
+        cost += 1 << best_size
+        if budget is not None and cost > budget:
+            return None
+    return steps
+
+
+def frontier_dp(adj, steps: list[tuple[int, int]], width: int) -> int:
+    """Packed I of the induced subgraph on the vertices of ``steps``.
+
+    A state is an independent subset of the current frontier and its value
+    the packed polynomial of the independent sets, among the introduced
+    vertices, that meet the frontier exactly there.  A new vertex extends
+    every state it has no neighbour in; a forgotten vertex is projected out.
+    """
+    states = {0: 1}
+    for v, forget in steps:
+        low = 1 << v
+        nbrs = adj[v]
+        keep = ~forget
+        new: dict[int, int] = {}
+        get = new.get
+        for state, value in states.items():
+            key = state & keep
+            new[key] = get(key, 0) + value
+            if not state & nbrs:
+                key = (state | low) & keep
+                new[key] = get(key, 0) + (value << width)
+        states = new
+    return states[0]
+
+
+def _unpack(packed: int, width: int) -> IntPoly:
     slot = (1 << width) - 1
     coeffs = []
     while packed:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from indpoly import cli
 from indpoly.cli import load_graph_source, parse_family_token
 from indpoly.graphs import FAMILIES, CapacityError, Graph
 
@@ -223,6 +224,28 @@ def test_verify_negative_nmax_exit_2():
         assert proc.returncode == 2, suite
         assert proc.stdout == ""
         assert proc.stderr == "error: n_max must be >= 0\n"
+
+
+def test_verify_thm22_samples_below_one_exit_2():
+    for samples in ("0", "-5"):
+        proc = run_cli("verify", "thm22", "--samples", samples)
+        assert proc.returncode == 2, samples
+        assert proc.stdout == ""
+        assert f"--samples: must be at least 1, got {samples}" in proc.stderr
+
+
+def test_verify_closedform_tol_not_finite_positive_exit_2():
+    for tol in ("nan", "inf", "-1", "0"):
+        proc = run_cli("verify", "closedform", "--tol", tol)
+        assert proc.returncode == 2, tol
+        assert proc.stdout == ""
+        assert f"--tol: must be finite and positive, got {tol}" in proc.stderr
+
+
+def test_emit_refuses_nan(capsys):
+    with pytest.raises(ValueError):
+        cli._emit({"tol": float("nan")})
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_prop26():

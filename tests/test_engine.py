@@ -3,9 +3,12 @@ import random
 import pytest
 
 import helpers
+from indpoly import engine
 from indpoly.engine import (
     brute_force_independence_polynomial,
     coefficient,
+    frontier_independence_polynomial,
+    frontier_order,
     independence_polynomial,
 )
 from indpoly.graphs import (
@@ -14,6 +17,7 @@ from indpoly.graphs import (
     GraphError,
     alpha,
     build_family,
+    components,
     delete_closed_neighborhood,
     delete_vertex,
 )
@@ -146,6 +150,124 @@ def test_deletion_recursion_identity():
         minus_v = independence_polynomial(delete_vertex(g, v))
         minus_nv = independence_polynomial(delete_closed_neighborhood(g, v))
         assert whole == minus_v + minus_nv.shift(1)
+
+
+# ---------------------------------------------------------------------------
+# frontier DP
+# ---------------------------------------------------------------------------
+
+
+def grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+def relabeled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def frontier_widths(g, steps):
+    """Frontier size after each step, recomputed from the vertex order alone:
+    the introduced vertices that still have a neighbour to come."""
+    order = [v for v, _ in steps]
+    assert sorted(order) == list(range(g.n))
+    widths, done, frontier = [], 0, 0
+    for v, forget in steps:
+        done |= 1 << v
+        expected = sum(1 << u for u in order if done >> u & 1 and g.adj[u] & ~done)
+        frontier = (frontier | 1 << v) & ~forget
+        assert frontier == expected
+        widths.append(expected.bit_count())
+    return widths
+
+
+def test_frontier_order_width():
+    # a weaker ordering heuristic fails here without any clock
+    rng = random.Random(88)
+    for g in (grid(8, 8), relabeled(rng, grid(8, 8))):
+        assert max(frontier_widths(g, frontier_order(g.adj, g.full_mask))) <= 8
+    for g in (fam("cycle", 40), fam("path", 64), relabeled(rng, fam("cycle", 40))):
+        assert max(frontier_widths(g, frontier_order(g.adj, g.full_mask))) <= 2
+
+
+def test_frontier_order_budget_and_mean_degree():
+    g = grid(8, 8)
+    widths = frontier_widths(g, frontier_order(g.adj, g.full_mask))
+    cost = sum(1 << w for w in widths)
+    assert frontier_order(g.adj, g.full_mask, budget=cost) is not None
+    assert frontier_order(g.adj, g.full_mask, budget=cost - 1) is None
+    # the grid has 112 edges on 64 vertices: mean degree 3.5
+    assert frontier_order(g.adj, g.full_mask, max_mean_degree=4) is not None
+    assert frontier_order(g.adj, g.full_mask, max_mean_degree=3) is None
+
+
+def test_frontier_dp_matches_oracle_small_corpus(small_graph_corpus):
+    # every graph, the disconnected ones included: the order restarts at a
+    # vertex of least degree when a component is done
+    for graphs in small_graph_corpus.values():
+        for g in graphs:
+            assert frontier_independence_polynomial(g) == brute_force_independence_polynomial(g)
+
+
+def test_frontier_dp_packed_slots_closed_forms():
+    assert frontier_independence_polynomial(fam("empty", 64)) == ONE_PLUS_X ** 64
+    assert frontier_independence_polynomial(fam("star", 63)) == ONE_PLUS_X ** 63 + IntPoly((0, 1))
+    assert frontier_independence_polynomial(Graph.from_edges(0, [])) == IntPoly((1,))
+
+
+def test_hybrid_dp_path_matches_oracle(monkeypatch):
+    # sparse connected graphs of 20-24 vertices, where the root itself is
+    # handed to the DP; the dispatch floor keeps c03's graphs away from it
+    calls = []
+    dp = engine.frontier_dp
+
+    def counted(*args):
+        calls.append(args[1])
+        return dp(*args)
+
+    monkeypatch.setattr(engine, "frontier_dp", counted)
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 8:
+        n = rng.randint(20, 24)
+        g = helpers.random_graph(rng, n, 2.5 / n)
+        if len(components(g)) != 1:
+            continue
+        calls.clear()
+        assert independence_polynomial(g) == brute_force_independence_polynomial(g)
+        assert calls and {v for v, _ in calls[0]} == set(range(n))
+        checked += 1
+
+
+def test_engines_agree_above_brute_force_cap():
+    # branching alone, the DP alone and the hybrid: three results, two
+    # disjoint mechanisms, on graphs beyond the brute-force oracle
+    rng = random.Random(6464)
+    graphs = [helpers.random_graph(rng, n, 3 / n) for n in (25, 40, 52, 64)]
+    graphs += [helpers.random_graph(rng, 30, 0.2)]
+    graphs += [helpers.random_regular_graph(rng, n, 3) for n in (26, 44, 64)]
+    graphs += [helpers.random_regular_graph(rng, n, 4) for n in (25, 32)]
+    for g in graphs:
+        branching = independence_polynomial(g, _dispatch=False)
+        assert frontier_independence_polynomial(g) == branching
+        assert independence_polynomial(g) == branching
+
+
+def test_dispatch_hands_narrow_components_to_dp(monkeypatch):
+    calls = []
+    dp = engine.frontier_dp
+    monkeypatch.setattr(engine, "frontier_dp", lambda *args: calls.append(1) or dp(*args))
+    # below the floor (the tree scan's trees have at most 14 vertices) the
+    # DP is never asked, nor with the dispatch off
+    independence_polynomial(fam("path", engine._DP_MIN_VERTICES - 1))
+    independence_polynomial(fam("star", 13))
+    independence_polynomial(grid(8, 8), _dispatch=False)
+    assert calls == []
+    assert independence_polynomial(grid(8, 8)) == independence_polynomial(grid(8, 8), _dispatch=False)
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------
