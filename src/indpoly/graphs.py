@@ -494,11 +494,29 @@ def _tree_centers(g: Graph) -> list[int]:
 
 
 def _ahu_code(g: Graph, root: int) -> bytes:
-    def rec(v: int, parent: int) -> bytes:
-        kids = sorted(rec(w, v) for w in _bits(g.adj[v]) if w != parent)
-        return b"(" + b"".join(kids) + b")"
-
-    return rec(root, -1)
+    # breadth-first from the root, recording parents; then, deepest first,
+    # each vertex joins its sorted child codes and hands the result up
+    adj = g.adj
+    parent = [-1] * g.n
+    order = [root]
+    seen = 1 << root
+    for v in order:
+        rest = adj[v] & ~seen
+        seen |= rest
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            parent[w] = v
+            order.append(w)
+            rest ^= low
+    kids: list[list[bytes]] = [[] for _ in range(g.n)]
+    for v in reversed(order):
+        codes = kids[v]
+        codes.sort()
+        code = b"(" + b"".join(codes) + b")"
+        if v == root:
+            return code
+        kids[parent[v]].append(code)
 
 
 def tree_canonical_code(g: Graph) -> bytes:

@@ -132,9 +132,6 @@ class IntPoly:
             result = result * g + c
         return result
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
-
     def reversed_coeffs(self) -> "IntPoly":
         """x**deg * f(1/x): the coefficient list reversed."""
         return IntPoly(tuple(reversed(self.coeffs)))
@@ -273,27 +270,36 @@ def newton_check(f: IntPoly) -> bool:
 #
 # All chain computations run on plain int lists with fraction-free
 # pseudo-remainders; content is stripped after every step to control
-# coefficient growth.
-
-
-def _content(cs: list[int]) -> int:
-    g = 0
-    for c in cs:
-        g = gcd(g, c)
-        if g == 1:
-            break
-    return g or 1
+# coefficient growth, which scales each member by a positive constant and
+# leaves its signs alone.
+#
+# ``real_rooted`` builds one chain, on f itself: f, f', then the negated
+# remainders.  When f has repeated zeros this is a generalised Sturm
+# sequence.  It ends at gcd(f, f') up to a constant, and dividing every
+# member by that last one multiplies all signs at a point by the same sign,
+# so V(-inf) - V(+inf) still counts the distinct real zeros of f.  The degree
+# of the last member is deg gcd(f, f'), so f is real-rooted exactly when the
+# count equals deg f minus that degree.
+#
+# ``count_distinct_real_roots`` takes the other route: the square-free part
+# s = f / gcd(f, f'), then a Sturm count on s.  The gcd and f are both
+# primitive, so by Gauss's lemma s lies in Z[x] and the division runs over
+# the integers; an inexact step raises instead of rounding.
 
 
 def _primitive(cs: list[int]) -> list[int]:
-    g = _content(cs)
-    return [c // g for c in cs]
+    g = gcd(*cs)
+    return cs if g <= 1 else [c // g for c in cs]
 
 
 def _trim(cs: list[int]) -> list[int]:
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
+
+
+def _derivative(cs: list[int]) -> list[int]:
+    return _trim([k * cs[k] for k in range(1, len(cs))])
 
 
 def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
@@ -307,14 +313,9 @@ def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
     steps = df - dg + 1
     r = list(f)
     for k in range(df - dg, -1, -1):
-        # r := lg*r - r[dg+k] * x^k * g; entries above dg+k are already zero
-        c = r[dg + k]
-        for i in range(dg + k):
-            r[i] *= lg
-        r[dg + k] = 0
-        if c:
-            for i in range(dg):
-                r[i + k] -= c * g[i]
+        # r := lg*r - r[dg+k] * x^k * g, which cancels the top entry
+        c = r.pop()
+        r = [lg * a for a in r[:k]] + [lg * a - c * b for a, b in zip(r[k:], g)]
     _trim(r)
     if lg < 0 and steps % 2 == 1:
         r = [-c for c in r]
@@ -322,27 +323,26 @@ def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
 
 
 def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact quotient num/den in Q[x]; raises if the division is not exact."""
-    rem = [Fraction(c) for c in num]
+    """Exact quotient num/den in Z[x] by integer long division.
+
+    Raises ``ArithmeticError`` when a leading coefficient does not divide
+    exactly or the remainder is nonzero.
+    """
+    rem = list(num)
     dd = len(den) - 1
-    lead = Fraction(den[-1])
-    q = [Fraction(0)] * max(len(num) - dd, 1)
-    while rem and len(rem) - 1 >= dd:
-        c = rem[-1] / lead
-        k = len(rem) - 1 - dd
-        q[k] = c
-        for i in range(dd + 1):
-            rem[i + k] -= c * den[i]
-        while rem and rem[-1] == 0:
-            rem.pop()
+    lead = den[-1]
+    q = [0] * max(len(num) - dd, 1)
+    for k in range(len(num) - 1 - dd, -1, -1):
+        c, r = divmod(rem[k + dd], lead)
+        if r:
+            raise ArithmeticError("non-integer quotient in exact division")
+        if c:
+            q[k] = c
+            for i in range(dd + 1):
+                rem[i + k] -= c * den[i]
     if any(rem):
         raise ArithmeticError("inexact polynomial division")
-    out = []
-    for c in q:
-        if c.denominator != 1:
-            raise ArithmeticError("non-integer quotient in exact division")
-        out.append(c.numerator)
-    return _trim(out)
+    return _trim(q)
 
 
 def _int_gcd_poly(a: list[int], b: list[int]) -> list[int]:
@@ -366,20 +366,19 @@ def square_free_part(f: IntPoly) -> IntPoly:
     cs = _primitive(list(f.coeffs))
     if len(cs) == 1:
         return ONE
-    d = _trim([k * cs[k] for k in range(1, len(cs))])
-    g = _int_gcd_poly(cs, d)
-    s = _poly_divmod_exact(cs, g)
-    s = _primitive(s)
+    s = _poly_divmod_exact(cs, _int_gcd_poly(cs, _derivative(cs)))
     if s[-1] < 0:
         s = [-c for c in s]
     return IntPoly(s)
 
 
 def _sturm_chain(cs: list[int]) -> list[list[int]]:
-    chain = [list(cs)]
-    d = _trim([k * cs[k] for k in range(1, len(cs))])
+    """f, f', then negated primitive pseudo-remainders; the last member is
+    gcd(f, f') up to a constant."""
+    chain = [cs]
+    d = _derivative(cs)
     if d:
-        chain.append(d)
+        chain.append(_primitive(d))
     while len(chain[-1]) > 1:
         r = _pseudo_rem(chain[-2], chain[-1])
         if not r:
@@ -400,12 +399,10 @@ def _sign_variations(signs: list[int]) -> int:
     return count
 
 
-def _square_free_real_roots(s: tuple[int, ...]) -> int:
-    """Sturm count of real zeros of a square-free polynomial, given by its
-    coefficients; every zero is simple, so the count is of distinct zeros."""
-    if len(s) <= 1:
-        return 0
-    chain = _sturm_chain(list(s))
+def _sturm_count(cs: list[int]) -> tuple[int, int]:
+    """Distinct real zeros of a nonzero polynomial, by its Sturm chain on
+    (-inf, +inf), and the degree of the chain's last member."""
+    chain = _sturm_chain(cs)
     at_plus = []
     at_minus = []
     for p in chain:
@@ -413,27 +410,26 @@ def _square_free_real_roots(s: tuple[int, ...]) -> int:
         sign = (lc > 0) - (lc < 0)
         at_plus.append(sign)
         at_minus.append(sign if (len(p) - 1) % 2 == 0 else -sign)
-    return _sign_variations(at_minus) - _sign_variations(at_plus)
+    return _sign_variations(at_minus) - _sign_variations(at_plus), len(chain[-1]) - 1
 
 
 def count_distinct_real_roots(f: IntPoly) -> int:
-    """Number of distinct real zeros, by Sturm's theorem on (-inf, +inf)."""
-    return _square_free_real_roots(square_free_part(f).coeffs)
+    """Number of distinct real zeros: a Sturm count on the square-free part."""
+    return _sturm_count(list(square_free_part(f).coeffs))[0]
 
 
 def real_rooted(f: IntPoly) -> bool:
     """True iff every complex zero of f is real.
 
-    The square-free part is extracted with an exact integer gcd, then a Sturm
-    chain counts distinct real roots; f is real-rooted exactly when that count
-    equals the square-free degree.
+    One Sturm chain on primitive f counts its distinct real zeros; its last
+    member has the degree of gcd(f, f'), so f is real-rooted exactly when the
+    count equals deg f minus that degree.
     """
     if f.is_zero():
         raise ValueError("real_rooted is undefined for the zero polynomial")
-    s = square_free_part(f)
-    if s.degree <= 0:
-        return True
-    return _square_free_real_roots(s.coeffs) == s.degree
+    cs = _primitive(list(f.coeffs))
+    count, gcd_degree = _sturm_count(cs)
+    return count == len(cs) - 1 - gcd_degree
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,7 @@ def pendant_ladder_family_check(n_max: int) -> list[dict]:
 # Tree scan
 # ---------------------------------------------------------------------------
 
-TREE_SCAN_MAX = 14
+TREE_SCAN_MAX = 18
 
 
 def _next_rooted(levels: list[int], p: int | None = None) -> list[int] | None:

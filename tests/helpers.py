@@ -12,6 +12,7 @@ import random
 from itertools import product
 
 from indpoly.graphs import Graph, _bits
+from indpoly.polynomials import count_distinct_real_roots, real_rooted, square_free_part
 
 # Globally interned refinement colors so colors are comparable across graphs.
 _INTERN: dict = {}
@@ -123,11 +124,18 @@ def graph_corpus(max_n: int) -> dict[int, list[Graph]]:
 # Isomorphism class counts for simple graphs on 1..8 vertices.
 KNOWN_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
-# Non-isomorphic tree counts on 1..14 vertices.
+# Non-isomorphic tree counts on 1..18 vertices (OEIS A000055).
 KNOWN_TREE_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23,
     9: 47, 10: 106, 11: 235, 12: 551, 13: 1301, 14: 3159,
+    15: 7741, 16: 19320, 17: 48629, 18: 123867,
 }
+
+
+def sturm_routes_agree(f) -> bool:
+    """The one-chain verdict of `real_rooted` against the square-free route:
+    f is real-rooted iff its distinct real zeros number deg of f / gcd(f, f')."""
+    return real_rooted(f) == (count_distinct_real_roots(f) == square_free_part(f).degree)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -234,6 +234,22 @@ def test_verify_thm22_samples_below_one_exit_2():
         assert f"--samples: must be at least 1, got {samples}" in proc.stderr
 
 
+def test_non_numeric_option_values_exit_2(tmp_path):
+    out = tmp_path / "trees.jsonl"
+    cases = [
+        (("verify", "thm22", "--samples", "abc"), "--samples: must be an integer, got 'abc'"),
+        (("verify", "closedform", "--tol", "xyz"), "--tol: must be a number, got 'xyz'"),
+        (("scan", "trees", "--jobs", "x", "--out", str(out)), "--jobs: must be an integer, got 'x'"),
+    ]
+    for args, message in cases:
+        proc = run_cli(*args)
+        assert proc.returncode == 2, args
+        assert proc.stdout == ""
+        assert message in proc.stderr
+        assert "_positive" not in proc.stderr
+    assert not out.exists()
+
+
 def test_verify_closedform_tol_not_finite_positive_exit_2():
     for tol in ("nan", "inf", "-1", "0"):
         proc = run_cli("verify", "closedform", "--tol", tol)

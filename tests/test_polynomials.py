@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from indpoly.polynomials import (
     ONE,
     ONE_PLUS_X,
@@ -17,6 +18,7 @@ from indpoly.polynomials import (
     is_log_concave,
     is_symmetric,
     is_unimodal,
+    _poly_divmod_exact,
     newton_check,
     poly_from_strings,
     property_report,
@@ -227,6 +229,38 @@ def test_count_distinct_real_roots():
     assert count_distinct_real_roots(poly(0, 1)) == 1
     # one real root for the claw polynomial
     assert count_distinct_real_roots(poly(1, 4, 3, 1)) == 1
+
+
+def test_real_rooted_repeated_factors_both_routes():
+    # products of repeated linear and quadratic factors times a non-unit
+    # content; f is real-rooted exactly when no quadratic factor has a
+    # negative discriminant, whatever the multiplicities
+    rng = random.Random(60606)
+    seen = set()
+    for _ in range(400):
+        f = poly(rng.choice([-6, -2, 2, 3, 4, 10]))
+        expected = True
+        for _ in range(rng.randint(0, 4)):
+            f = f * poly(rng.randint(-6, 6), rng.choice([-3, -1, 1, 2, 5])) ** rng.randint(1, 3)
+        for _ in range(rng.randint(0, 3)):
+            a, b, c = rng.randint(-5, 5), rng.randint(-5, 5), rng.choice([-2, 1, 1, 3])
+            expected &= b * b - 4 * a * c >= 0
+            f = f * poly(a, b, c) ** rng.randint(1, 3)
+        if f.is_zero():
+            continue
+        assert real_rooted(f) == expected, f.coeffs
+        assert helpers.sturm_routes_agree(f), f.coeffs
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_poly_divmod_exact_integer_long_division():
+    assert _poly_divmod_exact([1, 0, -1], [1, 1]) == [1, -1]
+    assert _poly_divmod_exact([2, 5, 3], [-1, -1]) == [-2, -3]
+    with pytest.raises(ArithmeticError, match="non-integer quotient"):
+        _poly_divmod_exact([1, 0, 1], [1, 2])  # x^2+1 by 2x+1
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _poly_divmod_exact([1, 0, 1], [1, 1])  # x^2+1 by x+1 leaves 2
 
 
 def _float_real_rooted(f: IntPoly, tol: float = 1e-6) -> bool:

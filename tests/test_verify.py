@@ -7,7 +7,7 @@ import pytest
 import helpers
 from indpoly.engine import independence_polynomial
 from indpoly.graphs import FamilySpec, GraphError, build_family
-from indpoly.polynomials import IntPoly, is_log_concave, is_symmetric
+from indpoly.polynomials import IntPoly, is_log_concave, is_symmetric, real_rooted
 from indpoly.products import rooted_product
 from indpoly.verify import (
     binomial_basis_unimodality_condition,
@@ -214,6 +214,19 @@ def test_distinct_tree_counts():
     for n in range(1, 15):
         assert len(distinct_trees(n)) == helpers.KNOWN_TREE_COUNTS[n]
         assert free_tree_count(n) == helpers.KNOWN_TREE_COUNTS[n]
+    # up to the scan cap, counted without building the trees
+    for n in range(15, 19):
+        assert free_tree_count(n) == helpers.KNOWN_TREE_COUNTS[n]
+
+
+def test_real_rooted_routes_agree_on_ladders_and_trees():
+    for n in range(61):
+        f = pendant_ladder_recurrence(n)
+        assert real_rooted(f)
+        assert helpers.sturm_routes_agree(f), n
+    for n in range(1, 11):
+        for _, tree in distinct_trees(n):
+            assert helpers.sturm_routes_agree(independence_polynomial(tree)), n
 
 
 def test_tree_scan_counts_and_violations():
@@ -229,7 +242,8 @@ def test_tree_scan_bounds():
     with pytest.raises(ValueError):
         list(tree_scan(1, 5))
     with pytest.raises(ValueError):
-        list(tree_scan(2, 15))
+        list(tree_scan(2, 19))
+    tree_scan(2, 18)  # the cap itself is accepted; the scan is lazy
 
 
 def test_tree_scan_deterministic():
