@@ -30,20 +30,14 @@ from .graphs import (
     parse_graph6,
 )
 from .polynomials import coeffs_as_strings, property_report
-from .products import (
-    join,
-    join_poly,
-    lex_poly,
-    lexicographic,
-    disjoint_union,
-    rooted_factors,
-    rooted_product,
-    rooted_product_poly,
-    union_poly,
-)
-from . import verify as ver
+
+# `products` and `verify` are imported inside the subcommands that use them,
+# so that a `poly` process neither loads nor compiles them
 
 DEFAULT_SEED = 20240501
+# thm22 accepts 85-92% of its random draws, so this many samples stay well
+# inside composition_soundness_scan's 200,000 attempts
+MAX_SAMPLES = 100_000
 
 # CLI name -> family kind: each kind under its own name and its aliases
 _FAMILY_NAMES = {
@@ -129,32 +123,39 @@ def cmd_poly(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _rooted(g1: Graph, g2: Graph, i1, i2, root):
+def _rooted(prod, g1: Graph, g2: Graph, i1, i2, root):
     if root is None:
         raise GraphParseError("rooted product requires --root")
     return (
-        rooted_product(g1, g2, root),
-        rooted_product_poly(i1, *rooted_factors(g2, root), g1.n),
+        prod.rooted_product(g1, g2, root),
+        prod.rooted_product_poly(i1, *prod.rooted_factors(g2, root), g1.n),
     )
 
 
-# kind -> (g1, g2, I(g1), I(g2), root) -> (product graph, its polynomial by
-# formula).  Each entry looks its functions up by name at call time, so a
-# rebinding of the module's names (perfbench/trace_run.py) reaches them.
+# kind -> (the products module, g1, g2, I(g1), I(g2), root) -> (product graph,
+# its polynomial by formula).  Each entry looks its functions up on the module
+# at call time, so a rebinding of the module's names (perfbench/trace_run.py)
+# reaches them.
 PRODUCTS = {
-    "lex": lambda g1, g2, i1, i2, root: (lexicographic(g1, g2), lex_poly(i1, i2)),
+    "lex": lambda prod, g1, g2, i1, i2, root: (
+        prod.lexicographic(g1, g2), prod.lex_poly(i1, i2)
+    ),
     "rooted": _rooted,
-    "join": lambda g1, g2, i1, i2, root: (join(g1, g2), join_poly(i1, i2)),
-    "union": lambda g1, g2, i1, i2, root: (disjoint_union(g1, g2), union_poly(i1, i2)),
+    "join": lambda prod, g1, g2, i1, i2, root: (prod.join(g1, g2), prod.join_poly(i1, i2)),
+    "union": lambda prod, g1, g2, i1, i2, root: (
+        prod.disjoint_union(g1, g2), prod.union_poly(i1, i2)
+    ),
 }
 
 
 def cmd_product(args) -> int:
+    from . import products
+
     g1 = load_graph_source(args.g1)
     g2 = load_graph_source(args.g2)
     i1 = independence_polynomial(g1)
     i2 = independence_polynomial(g2)
-    product, formula = PRODUCTS[args.kind](g1, g2, i1, i2, args.root)
+    product, formula = PRODUCTS[args.kind](products, g1, g2, i1, i2, args.root)
     graph_level = independence_polynomial(product)
     _emit(
         {
@@ -168,11 +169,12 @@ def cmd_product(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify: each suite maps the parsed arguments to (ok, its JSON fields)
+# verify: each suite maps the verify module and the parsed arguments to (ok,
+# its JSON fields), looking the module's functions up at call time
 # ---------------------------------------------------------------------------
 
 
-def _thm22(args):
+def _thm22(ver, args):
     results = {
         "condition_i": ver.composition_soundness_scan(
             "log_concave", samples=args.samples, seed=args.seed
@@ -184,7 +186,7 @@ def _thm22(args):
     return not any(result["failures"] for result in results.values()), {"results": results}
 
 
-def _prop26(args):
+def _prop26(ver, args):
     if not args.g1 or not args.g2:
         raise GraphParseError("prop26 requires --g1 and --g2")
     verdict = ver.well_covered_composition_condition(
@@ -194,7 +196,7 @@ def _prop26(args):
     return ok, {"holds": verdict.holds, "conclusion_checked": verdict.conclusion_checked}
 
 
-def _prop41(args):
+def _prop41(ver, args):
     if not args.g:
         raise GraphParseError("prop41 requires --g")
     g = load_graph_source(args.g)
@@ -210,12 +212,12 @@ def _prop41(args):
     }
 
 
-def _thm52(args):
+def _thm52(ver, args):
     rows = ver.pendant_ladder_family_check(args.nmax)
     return all(row["ok"] for row in rows), {"results": rows}
 
 
-def _gn(args):
+def _gn(ver, args):
     if args.nmax < 0:
         raise ValueError("n_max must be >= 0")
     rows = []
@@ -226,7 +228,7 @@ def _gn(args):
     return all(row["match"] for row in rows), {"results": rows}
 
 
-def _closedform(args):
+def _closedform(ver, args):
     return ver.pendant_ladder_trig_check(args.n, args.tol), {"n": args.n, "tol": args.tol}
 
 
@@ -241,7 +243,9 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    ok, fields = SUITES[args.suite](args)
+    from . import verify
+
+    ok, fields = SUITES[args.suite](verify, args)
     _emit({"suite": args.suite, "ok": ok, **fields})
     return 0 if ok else 1
 
@@ -279,6 +283,8 @@ def _resume_offset(path: str, nmin: int) -> int:
     Every kept size must hold all of its trees; otherwise the resume is
     refused, naming the first incomplete size.  A missing file keeps no line.
     """
+    from . import verify as ver
+
     offset = 0
     kept = dict.fromkeys(range(2, nmin), 0)
     with contextlib.suppress(FileNotFoundError), open(path, "rb") as handle:
@@ -306,6 +312,8 @@ def _resume_offset(path: str, nmin: int) -> int:
 
 
 def cmd_scan(args) -> int:
+    from . import verify as ver
+
     if args.what != "trees":
         raise GraphParseError("only 'scan trees' is supported")
     if not (2 <= args.nmin <= args.nmax <= ver.TREE_SCAN_MAX):
@@ -346,6 +354,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _sample_count(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLES}, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     try:
         value = float(text)
@@ -382,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run one verification suite")
     p_ver.add_argument("suite", choices=SUITES)
-    p_ver.add_argument("--samples", type=_positive_int, default=500)
+    p_ver.add_argument("--samples", type=_sample_count, default=500)
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--nmax", type=int, default=25)
     p_ver.add_argument("--n", type=int, default=11)

@@ -8,7 +8,6 @@ value objects; all operations are pure functions.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
 
@@ -24,11 +23,11 @@ class GraphParseError(GraphError):
 
 
 class CapacityError(GraphError):
-    """A construction would exceed the 64-vertex cap."""
+    """A construction would exceed the 64-vertex cap, or a computation its
+    fixed budget."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """n vertices 0..n-1; adj[v] is the open neighborhood N(v) as a bitmask."""
 
     n: int
@@ -286,19 +285,41 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
 class FamilySpec:
-    """Symbolic description of a named graph family instance."""
+    """Symbolic description of a named graph family instance: an immutable,
+    hashable value, checked against FAMILIES when it is made."""
 
-    kind: str
-    params: tuple[int, ...] = ()
+    __slots__ = ("kind", "params")
 
-    def __post_init__(self):
-        if self.kind not in FAMILIES:
-            raise GraphError(f"unknown family kind {self.kind!r}")
-        object.__setattr__(self, "params", tuple(int(p) for p in self.params))
-        if any(p < 0 for p in self.params):
+    def __init__(self, kind: str, params: Iterable[int] = ()):
+        if kind not in FAMILIES:
+            raise GraphError(f"unknown family kind {kind!r}")
+        params = tuple(int(p) for p in params)
+        if any(p < 0 for p in params):
             raise GraphError("family parameters must be nonnegative")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of FamilySpec")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of FamilySpec")
+
+    def __eq__(self, other):
+        if other.__class__ is not FamilySpec:
+            return NotImplemented
+        return self.kind == other.kind and self.params == other.params
+
+    def __hash__(self):
+        return hash((self.kind, self.params))
+
+    def __repr__(self):
+        return f"FamilySpec(kind={self.kind!r}, params={self.params!r})"
+
+    def __reduce__(self):
+        # unpickling through __init__, since __setattr__ refuses
+        return FamilySpec, (self.kind, self.params)
 
 
 def build_family(spec: FamilySpec) -> Graph:

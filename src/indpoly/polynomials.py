@@ -9,9 +9,8 @@ exists for numeric cross-checks and never feeds an accept/reject decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 
 class IntPoly:
@@ -138,8 +137,10 @@ class IntPoly:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval_rational(self, q) -> Fraction:
-        """Exact value at a rational point."""
+    def eval_rational(self, q):
+        """Exact value at a rational point, as a ``fractions.Fraction``."""
+        from fractions import Fraction  # this module's only use of it
+
         q = Fraction(q)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -437,8 +438,7 @@ def real_rooted(f: IntPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     """Evaluated coefficient-sequence predicates plus failure witnesses.
 
     ``mode_index`` is the smallest index attaining the maximum coefficient;
@@ -452,7 +452,7 @@ class PropertyReport:
     real_rooted: bool
     newton_ok: bool
     mode_index: int
-    first_violation: dict[str, int] = field(default_factory=dict)
+    first_violation: dict[str, int]
 
     def to_json_dict(self) -> dict:
         return {

@@ -18,12 +18,12 @@ import base64
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .engine import independence_polynomial
 from .graphs import (
+    CapacityError,
     FamilySpec,
     Graph,
     GraphError,
@@ -53,8 +53,13 @@ class HypothesisViolation(GraphError):
     """An instance fed to a checker does not satisfy the checker's hypothesis."""
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
+class SamplingError(CapacityError, RuntimeError):
+    """Hypothesis sampling used up its attempt budget before enough instances
+    were accepted.  The CLI reports it as a capacity error (exit 3); it is
+    also a RuntimeError for callers that catch that."""
+
+
+class ConditionVerdict(NamedTuple):
     """Outcome of a sufficient-condition check on one instance.
 
     ``conclusion_checked`` records whether the conclusion was independently
@@ -67,8 +72,7 @@ class ConditionVerdict:
     conclusion_checked: bool | None = None
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """One deduplicated tree from a corpus scan."""
 
     canonical_code: bytes
@@ -284,11 +288,21 @@ def _trig_product_expansion(n: int) -> list[float]:
     return coeffs
 
 
+# Past n = 808 the largest coefficient of G_n no longer fits in a float, so
+# the float expansion cannot be compared with it
+TRIG_CHECK_MAX = 800
+# the family check's cost bound: real_rooted on G_n grows steeply with n
+# (0.005 s at n = 60, 0.7 s at n = 160 on a 2-CPU x86_64 host)
+FAMILY_CHECK_MAX = 100
+
+
 def pendant_ladder_trig_check(n: int, tol: float) -> bool:
     """Compare the trigonometric product expansion against the recurrence,
     coefficient by coefficient, within relative tolerance tol."""
     if n < 0:
         raise ValueError("index must be >= 0")
+    if n > TRIG_CHECK_MAX:
+        raise ValueError(f"index must be <= {TRIG_CHECK_MAX}")
     exact = pendant_ladder_recurrence(n).coeffs
     approx = _trig_product_expansion(n)
     if len(approx) != len(exact):
@@ -302,6 +316,8 @@ def pendant_ladder_family_check(n_max: int) -> list[dict]:
     """Symmetry, real-rootedness and degree n+1 for every 0 <= n <= n_max."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if n_max > FAMILY_CHECK_MAX:
+        raise ValueError(f"n_max must be <= {FAMILY_CHECK_MAX}")
     rows = []
     for n in range(n_max + 1):
         poly = pendant_ladder_recurrence(n)
@@ -498,7 +514,8 @@ def composition_soundness_scan(
     kind "log_concave": both polynomials log-concave plus the cleared
     inequality imply a log-concave composition.  kind "unimodal": inner
     polynomial log-concave plus the ratio condition imply a unimodal
-    composition.  Returns counts and the (expectedly empty) failure list.
+    composition.  Returns counts and the (expectedly empty) failure list;
+    raises SamplingError when max_attempts draws accept fewer than `samples`.
     """
     if kind not in ("log_concave", "unimodal"):
         raise ValueError("kind must be 'log_concave' or 'unimodal'")
@@ -509,7 +526,10 @@ def composition_soundness_scan(
     while accepted < samples:
         attempts += 1
         if attempts > max_attempts:
-            raise RuntimeError("hypothesis sampling did not converge")
+            raise SamplingError(
+                f"hypothesis sampling did not converge: {accepted} of {samples}"
+                f" samples accepted in {max_attempts} attempts"
+            )
         g1 = random_graph(rng, rng.randint(2, 6), rng.uniform(0.2, 0.9))
         g2 = random_graph(rng, rng.randint(2, 7), rng.uniform(0.2, 0.9))
         i1 = independence_polynomial(g1)

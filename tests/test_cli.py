@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -43,6 +44,54 @@ def test_import_needs_no_networkx_or_multiprocessing():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# the modules a subcommand must not load, checked against what importing and
+# running indpoly adds to a fresh interpreter
+_COLD_START = (
+    "import contextlib, io, sys\n"
+    "before = set(sys.modules)\n"
+    "from indpoly import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "watched = ('indpoly.verify', 'indpoly.products', 'dataclasses', 'inspect', 'fractions')\n"
+    "print(code, [m for m in watched if m in set(sys.modules) - before])\n"
+)
+
+
+def test_cold_start_loads_only_the_subcommand_modules():
+    proc = run_python("-c", _COLD_START, "poly", "--family", "path:4")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
+    proc = run_python(
+        "-c", _COLD_START, "product", "lex", "--g1", "family:path:3", "--g2", "family:path:2"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 ['indpoly.products']\n"
+
+
+def test_package_names_resolve_on_first_use():
+    import importlib
+
+    import indpoly
+
+    for name, module in indpoly._MODULE_OF.items():
+        assert getattr(indpoly, name) is getattr(importlib.import_module(f"indpoly.{module}"), name)
+        assert name in dir(indpoly)
+    assert sorted(indpoly.__all__) == sorted(indpoly._MODULE_OF)
+    from indpoly import lex_poly
+
+    assert lex_poly is importlib.import_module("indpoly.products").lex_poly
+    with pytest.raises(AttributeError):
+        indpoly.no_such_name
+
+
+def test_readme_library_snippet_runs():
+    readme = (Path(SRC).parent / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python("-c", snippet + "print(ip.independence_polynomial(g).coeffs)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(1, 49, 48, 64)\n"
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +297,40 @@ def test_non_numeric_option_values_exit_2(tmp_path):
         assert message in proc.stderr
         assert "_positive" not in proc.stderr
     assert not out.exists()
+
+
+def test_verify_caps_exit_2_before_any_work():
+    cases = [
+        (("thm22", "--samples", "100001"), "--samples: must be at most 100000, got 100001"),
+        (("thm22", "--samples", "200000"), "--samples: must be at most 100000, got 200000"),
+        (("thm52", "--nmax", "101"), "error: n_max must be <= 100\n"),
+        (("closedform", "--n", "801"), "error: index must be <= 800\n"),
+        (("closedform", "--n", "809"), "error: index must be <= 800\n"),
+    ]
+    for args, message in cases:
+        proc = run_cli("verify", *args, timeout=30)
+        assert proc.returncode == 2, args
+        assert proc.stdout == ""
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_verify_caps_themselves_accepted(capsys):
+    parser = cli.build_parser()
+    assert parser.parse_args(["verify", "thm22", "--samples", "100000"]).samples == 100000
+    assert cli.main(["verify", "thm52", "--nmax", "100"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]) == 101
+
+
+def test_verify_thm22_sampling_budget_exhausted_exit_3(monkeypatch, capsys):
+    from indpoly import verify
+
+    scan = functools.partial(verify.composition_soundness_scan, max_attempts=10)
+    monkeypatch.setattr(verify, "composition_soundness_scan", scan)
+    assert cli.main(["verify", "thm22", "--samples", "500"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: hypothesis sampling did not converge: ")
 
 
 def test_verify_closedform_tol_not_finite_positive_exit_2():

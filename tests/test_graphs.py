@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import product
 
@@ -28,6 +29,30 @@ from indpoly.graphs import (
     prufer_decode,
     tree_canonical_code,
 )
+
+
+def test_graph_and_family_spec_are_values():
+    g = Graph.from_edges(3, [(0, 1)])
+    same = Graph(3, (2, 1, 0))
+    assert g == same and hash(g) == hash(same)
+    assert g != Graph.from_edges(3, [(1, 2)])
+    assert repr(g) == "Graph(n=3, adj=(2, 1, 0))"
+    assert pickle.loads(pickle.dumps(g)) == g
+    with pytest.raises(AttributeError):
+        g.n = 4
+
+    spec = FamilySpec("path", (4,))
+    same = FamilySpec("path", ["4"])  # params are coerced to a tuple of ints
+    assert spec == same and hash(spec) == hash(same) and same.params == (4,)
+    assert spec != FamilySpec("path", (5,)) and spec != FamilySpec("cycle", (4,))
+    assert repr(spec) == "FamilySpec(kind='path', params=(4,))"
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    with pytest.raises(AttributeError):
+        spec.kind = "cycle"
+    with pytest.raises(GraphError):
+        FamilySpec("bogus")
+    with pytest.raises(GraphError):
+        FamilySpec("path", (-1,))
 
 
 def check_invariants(g: Graph):

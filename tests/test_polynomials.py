@@ -323,6 +323,15 @@ def test_property_report_fields():
     assert r.first_violation == {}
 
 
+def test_property_report_is_a_frozen_picklable_value():
+    # scan workers return reports to the parent process by pickle
+    r = property_report(poly(1, 49, 48, 64))
+    with pytest.raises(AttributeError):
+        r.unimodal = True
+    again = pickle.loads(pickle.dumps(r))
+    assert again == r and again.to_json_dict() == r.to_json_dict()
+
+
 def test_property_report_rejects_zero():
     with pytest.raises(ValueError):
         property_report(IntPoly())

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,10 +7,13 @@ import pytest
 
 import helpers
 from indpoly.engine import independence_polynomial
-from indpoly.graphs import FamilySpec, GraphError, build_family
+from indpoly.graphs import CapacityError, FamilySpec, GraphError, build_family
 from indpoly.polynomials import IntPoly, is_log_concave, is_symmetric, real_rooted
 from indpoly.products import rooted_product
 from indpoly.verify import (
+    FAMILY_CHECK_MAX,
+    TRIG_CHECK_MAX,
+    SamplingError,
     binomial_basis_unimodality_condition,
     composition_log_concavity_condition,
     composition_soundness_scan,
@@ -205,6 +209,16 @@ def test_trig_expansion_checks():
     assert not pendant_ladder_trig_check(9, 1e-18)
 
 
+def test_pendant_ladder_check_caps():
+    # the float expansion overflows past n = 808; the cap itself still checks
+    assert pendant_ladder_trig_check(TRIG_CHECK_MAX, 1e-6)
+    for n in (TRIG_CHECK_MAX + 1, 809):
+        with pytest.raises(ValueError, match=f"index must be <= {TRIG_CHECK_MAX}"):
+            pendant_ladder_trig_check(n, 1e-6)
+    with pytest.raises(ValueError, match=f"n_max must be <= {FAMILY_CHECK_MAX}"):
+        pendant_ladder_family_check(FAMILY_CHECK_MAX + 1)
+
+
 # ---------------------------------------------------------------------------
 # tree scan
 # ---------------------------------------------------------------------------
@@ -252,6 +266,15 @@ def test_tree_scan_deterministic():
     assert first == second
 
 
+def test_scan_result_is_a_frozen_picklable_value():
+    # `scan --jobs 2` workers return results to the parent process by pickle
+    result = next(iter(tree_scan(4, 4)))
+    with pytest.raises(AttributeError):
+        result.n = 5
+    again = pickle.loads(pickle.dumps(result))
+    assert again == result and scan_result_to_json(again) == scan_result_to_json(result)
+
+
 def test_scan_result_json_shape():
     result = next(iter(tree_scan(2, 2)))
     row = json.loads(scan_result_to_json(result))
@@ -274,3 +297,10 @@ def test_soundness_scan_small():
     assert out["samples"] == 60 and out["failures"] == []
     with pytest.raises(ValueError):
         composition_soundness_scan("nope", samples=1)
+
+
+def test_soundness_scan_budget_exhausted():
+    with pytest.raises(SamplingError, match="did not converge: 9 of 50 samples") as info:
+        composition_soundness_scan("unimodal", samples=50, seed=1, max_attempts=10)
+    # the CLI's capacity error (exit 3), and still a RuntimeError
+    assert isinstance(info.value, CapacityError) and isinstance(info.value, RuntimeError)
