@@ -31,10 +31,13 @@ Dispatch: at a connected, non-edgeless node of at least ``_DP_MIN_VERTICES``
 vertices, the recursion orders the component, unless its mean degree is above
 ``_DP_MAX_MEAN_DEGREE``, where frontiers grow too wide to be worth ordering.
 If the cost estimate stays within ``_DP_BUDGET_PER_VERTEX`` times the
-component's size, the DP solves the component; otherwise the recursion
-branches on a vertex of maximum degree.  The order is abandoned as soon as it
-passes the budget.  Inputs under ``_DP_MIN_VERTICES`` vertices, such as the
-trees of the tree scan, never reach the check.
+component's size, the DP solves the component.  The order is abandoned as
+soon as it passes the budget, and the recursion then branches inside the bag
+that broke it (the frontier plus the vertex just added), on the bag vertex
+with the most neighbours in the component: deleting it narrows exactly that
+bag.  A component rejected on mean degree, or one under ``_DP_MIN_VERTICES``
+vertices, branches on a vertex of maximum degree; the trees of the tree scan
+never reach the check.
 """
 
 from __future__ import annotations
@@ -90,15 +93,21 @@ def independence_polynomial(g: Graph, *, _dispatch: bool = True) -> IntPoly:
                 for comp in comps[1:]:
                     result *= solve(comp)
             else:
-                steps = None
+                steps = bag = None
                 size = mask.bit_count()
                 if _dispatch and size >= _DP_MIN_VERTICES:
-                    steps = frontier_order(adj, mask, _DP_BUDGET_PER_VERTEX * size,
-                                           _DP_MAX_MEAN_DEGREE)
+                    steps, bag = _frontier_order(adj, mask, _DP_BUDGET_PER_VERTEX * size,
+                                                 _DP_MAX_MEAN_DEGREE)
                 if steps is not None:
                     result = frontier_dp(adj, steps, width)
                 else:
-                    v = _max_degree_vertex(adj, mask)
+                    if bag is None:
+                        v = _max_degree_vertex(adj, mask)
+                    else:
+                        # removing a vertex of the bag that broke the budget
+                        # narrows exactly that bag (the bag is the whole mask
+                        # after a mean-degree rejection)
+                        v = max(_bits(bag), key=lambda u: (adj[u] & mask).bit_count())
                     result = solve(mask & ~(1 << v)) + (solve(mask & ~closed[v]) << width)
         memo[mask] = result
         return result
@@ -126,6 +135,20 @@ def frontier_order(adj, mask: int, budget: int | None = None,
     built, if the mean degree in the mask is above ``max_mean_degree``, or as
     soon as the sum of 2^(frontier width) over the steps passes ``budget``.
     """
+    return _frontier_order(adj, mask, budget, max_mean_degree)[0]
+
+
+def _frontier_order(adj, mask, budget, max_mean_degree):
+    """``frontier_order`` as (steps, None), or (None, bag) when the order is
+    rejected: the bag is the whole mask after a mean-degree rejection, and
+    the frontier plus the vertex just added at the step that passed the
+    budget.
+
+    Introducing v leaves a frontier of width + (v has a neighbour to come) -
+    sole[v], where sole[v] counts the frontier vertices whose only neighbour
+    still to come is v; both counts are kept up to date, so scoring a
+    candidate is O(1).
+    """
     remaining = [0] * len(adj)
     rest = mask
     degree_sum = 0
@@ -136,50 +159,60 @@ def frontier_order(adj, mask: int, budget: int | None = None,
         degree_sum += remaining[v].bit_count()
         rest ^= low
     if max_mean_degree is not None and degree_sum > max_mean_degree * mask.bit_count():
-        return None
+        return None, mask
+    sole = [0] * len(adj)
     steps = []
     frontier = 0
+    width = 0
+    # the vertices still to come with a neighbour in the frontier
+    candidates = 0
     todo = mask
     cost = 0
     while todo:
-        candidates = 0
-        rest = frontier
-        while rest:
-            low = rest & -rest
-            candidates |= remaining[low.bit_length() - 1]
-            rest ^= low
         if not candidates:
             candidates = 1 << min(_bits(todo), key=lambda v: remaining[v].bit_count())
-        best_v, best_size, best_links, best_forget = -1, 65, 0, 0
+        best_v, best_size, best_links = -1, 65, 0
         rest = candidates
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
             rest ^= low
-            forget = 0 if remaining[v] else low
-            inner = adj[v] & frontier
-            links = inner.bit_count()
-            while inner:
-                f = inner & -inner
-                if remaining[f.bit_length() - 1] == low:
-                    forget |= f
-                inner ^= f
-            size = (frontier | low).bit_count() - forget.bit_count()
-            if size < best_size or (size == best_size and links > best_links):
-                best_v, best_size, best_links, best_forget = v, size, links, forget
+            size = width + (remaining[v] != 0) - sole[v]
+            if size <= best_size:
+                links = (adj[v] & frontier).bit_count()
+                if size < best_size or links > best_links:
+                    best_v, best_size, best_links = v, size, links
         low = 1 << best_v
         todo ^= low
+        bag = frontier | low
         rest = adj[best_v] & mask
+        forget = 0
         while rest:
             f = rest & -rest
-            remaining[f.bit_length() - 1] &= ~low
             rest ^= f
-        frontier = (frontier | low) & ~best_forget
-        steps.append((best_v, best_forget))
+            u = f.bit_length() - 1
+            left = remaining[u] & ~low
+            remaining[u] = left
+            if f & frontier:
+                if not left:
+                    forget |= f
+                elif not left & (left - 1):
+                    sole[left.bit_length() - 1] += 1
+        left = remaining[best_v]
+        if left:
+            candidates |= left
+            if not left & (left - 1):
+                sole[left.bit_length() - 1] += 1
+        else:
+            forget |= low
+        candidates &= ~low
+        frontier = bag & ~forget
+        width = best_size
+        steps.append((best_v, forget))
         cost += 1 << best_size
         if budget is not None and cost > budget:
-            return None
-    return steps
+            return None, bag
+    return steps, None
 
 
 def frontier_dp(adj, steps: list[tuple[int, int]], width: int) -> int:
@@ -187,23 +220,31 @@ def frontier_dp(adj, steps: list[tuple[int, int]], width: int) -> int:
 
     A state is an independent subset of the current frontier and its value
     the packed polynomial of the independent sets, among the introduced
-    vertices, that meet the frontier exactly there.  A new vertex extends
-    every state it has no neighbour in; a forgotten vertex is projected out.
+    vertices, that meet the frontier exactly there.  Every independent
+    subset of the frontier is a state, so the state set is downward closed:
+    a new vertex v only adds the keys s | v, for the states s it has no
+    neighbour in, and a forgotten vertex f folds each state s holding it
+    into s ^ f, a key that always exists.  A vertex forgotten at its own
+    introduction never becomes a key: it multiplies by 1 + x each state it
+    has no neighbour in.
     """
     states = {0: 1}
     for v, forget in steps:
         low = 1 << v
         nbrs = adj[v]
-        keep = ~forget
-        new: dict[int, int] = {}
-        get = new.get
-        for state, value in states.items():
-            key = state & keep
-            new[key] = get(key, 0) + value
-            if not state & nbrs:
-                key = (state | low) & keep
-                new[key] = get(key, 0) + (value << width)
-        states = new
+        if forget & low:
+            forget ^= low
+            for state, value in states.items():
+                if not state & nbrs:
+                    states[state] = value + (value << width)
+        else:
+            states.update({state | low: value << width
+                           for state, value in states.items() if not state & nbrs})
+        while forget:
+            f = forget & -forget
+            forget ^= f
+            for state in [state for state in states if state & f]:
+                states[state ^ f] += states.pop(state)
     return states[0]
 
 

@@ -156,6 +156,48 @@ def random_regular_graph(rng: random.Random, n: int, d: int) -> Graph:
             return Graph.from_edges(n, sorted(edges))
 
 
+def reference_frontier_order(adj, mask: int, budget=None, max_mean_degree=None):
+    """Slow oracle of the documented ``frontier_order`` rule, scoring every
+    candidate from scratch: introduce, among the neighbours of the frontier,
+    the vertex that leaves the smallest frontier, ties to more neighbours in
+    the frontier, then to the lower index; restart an empty frontier at a
+    vertex of least degree among those left.  None when the mean degree in
+    the mask is above ``max_mean_degree`` or the sum of 2^(frontier width)
+    passes ``budget``."""
+    remaining = [adj[v] & mask if mask >> v & 1 else 0 for v in range(len(adj))]
+    if (max_mean_degree is not None
+            and sum(r.bit_count() for r in remaining) > max_mean_degree * mask.bit_count()):
+        return None
+    steps, frontier, todo, cost = [], 0, mask, 0
+    while todo:
+        candidates = 0
+        for u in _bits(frontier):
+            candidates |= remaining[u]
+        if not candidates:
+            candidates = 1 << min(_bits(todo), key=lambda v: remaining[v].bit_count())
+        best = None
+        for v in _bits(candidates):
+            low = 1 << v
+            forget = 0 if remaining[v] else low
+            for f in _bits(adj[v] & frontier):
+                if remaining[f] == low:
+                    forget |= 1 << f
+            size = (frontier | low).bit_count() - forget.bit_count()
+            links = (adj[v] & frontier).bit_count()
+            if best is None or size < best[1] or (size == best[1] and links > best[2]):
+                best = (v, size, links, forget)
+        v, size, _, forget = best
+        todo ^= 1 << v
+        for u in _bits(adj[v] & mask):
+            remaining[u] &= ~(1 << v)
+        frontier = (frontier | 1 << v) & ~forget
+        steps.append((v, forget))
+        cost += 1 << size
+        if budget is not None and cost > budget:
+            return None
+    return steps
+
+
 def all_prufer_trees(n: int):
     """All n^(n-2) labeled trees, by decoding every sequence."""
     from indpoly.graphs import prufer_decode

@@ -204,6 +204,105 @@ def test_frontier_order_budget_and_mean_degree():
     assert frontier_order(g.adj, g.full_mask, max_mean_degree=3) is None
 
 
+def order_cost(steps):
+    """Sum of 2^(frontier width) over the steps, replaying their forget masks."""
+    cost, frontier = 0, 0
+    for v, forget in steps:
+        frontier = (frontier | 1 << v) & ~forget
+        cost += 1 << frontier.bit_count()
+    return cost
+
+
+def test_frontier_order_matches_reference_rule():
+    # the incremental scoring of frontier_order against a from-scratch
+    # oracle of the documented rule: same steps, same rejections
+    rng = random.Random(4040)
+    graphs = [grid(8, 8), grid(5, 7), grid(3, 10), fam("cycle", 40), fam("cycle", 9),
+              fam("path", 64), fam("path", 20), fam("ladder_h", 15)]
+    graphs += [relabeled(rng, g) for g in graphs[:7]]
+    graphs += [helpers.random_regular_graph(rng, n, d)
+               for d, sizes in ((3, (20, 36, 64)), (4, (24, 40, 64)), (5, (30, 40, 64)))
+               for n in sizes]
+    graphs += [helpers.random_graph(rng, n, p)
+               for n, p in ((30, 0.1), (40, 0.15), (64, 0.1), (64, 0.2), (25, 0.3))]
+    # disconnected graphs
+    graphs += [helpers.random_graph(rng, 40, 0.03), helpers.random_graph(rng, 64, 0.02),
+               disjoint_union(grid(4, 4), fam("cycle", 10)), fam("empty", 12)]
+    cases = [(g, g.full_mask) for g in graphs]
+    # proper sub-masks, some of them disconnected
+    for g in graphs[:12] + graphs[15:24]:
+        mask = sum(1 << v for v in range(g.n) if rng.random() < 0.75)
+        cases.append((g, mask))
+    assert len(cases) >= 40
+    for g, mask in cases:
+        steps = helpers.reference_frontier_order(g.adj, mask)
+        assert frontier_order(g.adj, mask) == steps
+        assert sorted(v for v, _ in steps) == [v for v in range(g.n) if mask >> v & 1]
+        cost = order_cost(steps)
+        for budget, expected in ((cost, steps), (cost - 1, None)):
+            assert helpers.reference_frontier_order(g.adj, mask, budget) == expected
+            assert frontier_order(g.adj, mask, budget) == expected
+        size = mask.bit_count()
+        degree_sum = sum((g.adj[v] & mask).bit_count() for v in range(g.n) if mask >> v & 1)
+        above = -(-degree_sum // size)  # the mean degree, rounded up
+        for bound, expected in ((above, steps), (above - 1, None)):
+            assert helpers.reference_frontier_order(g.adj, mask, None, bound) == expected
+            assert frontier_order(g.adj, mask, None, bound) == expected
+
+
+def test_frontier_dp_hand_written_steps():
+    # step lists written out by hand, so the kernel is checked apart from
+    # frontier_order: each is a valid order (frontier_widths checks every
+    # forget mask) and gives the brute-force polynomial
+    k = 9
+    star = Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
+    isolated = Graph.from_edges(4, [(0, 1), (1, 2)])
+    two = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)])
+    path = fam("path", 6)
+    cases = [
+        # the centre last: all k leaves and the centre leave in one step
+        (star, [(i, 0) for i in range(1, k + 1)] + [(0, star.full_mask)]),
+        # vertex 3 is forgotten at its own introduction, first and between
+        (isolated, [(3, 1 << 3), (0, 0), (1, 1 << 0), (2, 0b110)]),
+        (isolated, [(0, 0), (1, 1 << 0), (3, 1 << 3), (2, 0b110)]),
+        (fam("empty", 3), [(0, 1 << 0), (1, 1 << 1), (2, 1 << 2)]),
+        # a path and a triangle, their steps interleaved
+        (two, [(0, 0), (3, 0), (1, 1 << 0), (4, 0), (2, 0b110), (5, 0b111000)]),
+        # a path introduced from both ends, meeting in the middle
+        (path, [(0, 0), (5, 0), (1, 1 << 0), (4, 1 << 5), (2, 1 << 1), (3, 0b11100)]),
+    ]
+    for g, steps in cases:
+        frontier_widths(g, steps)
+        width = g.n + 2
+        packed = engine.frontier_dp(g.adj, steps, width)
+        assert engine._unpack(packed, width) == brute_force_independence_polynomial(g)
+
+
+def test_rejected_orders_branch_inside_the_failing_bag(monkeypatch):
+    # graphs above the brute-force cap whose orders run over budget, so the
+    # recursion branches inside the failing bag; three routes must agree
+    rejected = []
+    order = engine._frontier_order
+
+    def counted(adj, mask, budget, max_mean_degree):
+        steps, bag = order(adj, mask, budget, max_mean_degree)
+        degree_sum = sum((adj[v] & mask).bit_count() for v in range(len(adj)) if mask >> v & 1)
+        if steps is None and degree_sum <= max_mean_degree * mask.bit_count():
+            assert bag and not bag & ~mask
+            rejected.append(mask)
+        return steps, bag
+
+    monkeypatch.setattr(engine, "_frontier_order", counted)
+    rng = random.Random(3140)
+    graphs = [helpers.random_regular_graph(rng, n, 5) for n in (30, 36, 40)]
+    graphs += [helpers.random_regular_graph(rng, 40, 4), helpers.random_graph(rng, 40, 0.15)]
+    for g in graphs:
+        hybrid = independence_polynomial(g)
+        assert hybrid == independence_polynomial(g, _dispatch=False)
+        assert hybrid == frontier_independence_polynomial(g)
+    assert rejected
+
+
 def test_frontier_dp_matches_oracle_small_corpus(small_graph_corpus):
     # every graph, the disconnected ones included: the order restarts at a
     # vertex of least degree when a component is done
