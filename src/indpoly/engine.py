@@ -3,10 +3,11 @@
 Three routes exist on purpose.  ``independence_polynomial`` is the fast path:
 the classic vertex recursion I(G) = I(G-v) + x*I(G-N[v]) over induced-subgraph
 masks, with connected components multiplied separately, edgeless remainders
-short-circuited to (1+x)^k, and results memoized by mask; a component whose
-frontier is narrow is handed to the frontier DP below.
-``frontier_independence_polynomial`` runs that DP alone, with no branching,
-so the two mechanisms check each other on graphs of any size.
+short-circuited to (1+x)^k, and results memoized by mask; a component that
+is a tree is solved by the rooted-tree DP ``tree_dp`` in one pass, and one
+whose frontier is narrow is handed to the frontier DP below.
+``frontier_independence_polynomial`` runs the frontier DP alone, with no
+branching, so the two mechanisms check each other on graphs of any size.
 ``brute_force_independence_polynomial`` enumerates every independent set with
 no sharing at all, so it can certify both up to 24 vertices.
 
@@ -27,24 +28,28 @@ has no neighbour in, and a vertex leaves the states once its last neighbour is
 in.  A step with frontier width w touches at most 2^w states, so the sum of
 2^w over the steps estimates the DP's cost before it runs.
 
-Dispatch: at a connected, non-edgeless node of at least ``_DP_MIN_VERTICES``
-vertices, the recursion orders the component, unless its mean degree is above
+Dispatch: a connected, non-edgeless node has its degrees summed once.  If it
+has one edge fewer than vertices it is a tree, of any size, and ``tree_dp``
+solves it: the tree inputs, the forests' components, the paths left when a
+cycle loses a vertex, and the trees left deep in a dense graph's branching.
+Otherwise, at a node of at least ``_DP_MIN_VERTICES`` vertices, the recursion
+orders the component, unless its mean degree is above
 ``_DP_MAX_MEAN_DEGREE``, where frontiers grow too wide to be worth ordering.
 If the cost estimate stays within ``_DP_BUDGET_PER_VERTEX`` times the
-component's size, the DP solves the component.  The order is abandoned as
-soon as it passes the budget, and the recursion then branches inside the bag
-that broke it (the frontier plus the vertex just added), on the bag vertex
-with the most neighbours in the component: deleting it narrows exactly that
-bag.  A component rejected on mean degree, or one under ``_DP_MIN_VERTICES``
-vertices, branches on a vertex of maximum degree; the trees of the tree scan
-never reach the check.
+component's size, the frontier DP solves the component.  The order is
+abandoned as soon as it passes the budget, and the recursion then branches
+inside the bag that broke it (the frontier plus the vertex just added), on
+the bag vertex with the most neighbours in the component: deleting it narrows
+exactly that bag.  A component rejected on mean degree, or one under
+``_DP_MIN_VERTICES`` vertices, branches on a vertex of maximum degree, the
+lowest such vertex found by the same pass that summed the degrees.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .graphs import Graph, GraphError, _bits, _max_degree_vertex, mask_components
+from .graphs import Graph, GraphError, _bits, _degree_scan, mask_components
 from .polynomials import IntPoly
 
 BRUTE_FORCE_CAP = 24
@@ -59,19 +64,13 @@ _DP_BUDGET_PER_VERTEX = 512
 def independence_polynomial(g: Graph, *, _dispatch: bool = True) -> IntPoly:
     """Exact I(G;x) for graphs up to 64 vertices.
 
-    ``_dispatch=False`` keeps every node in the branching recursion; tests use
-    it to compare the two routes.
+    ``_dispatch=False`` keeps every node in the branching recursion, trees
+    included: neither ``tree_dp`` nor the frontier DP is asked.  Tests use
+    it to compare the routes.
     """
     adj = g.adj
-    n = g.n
-    closed = tuple(adj[v] | (1 << v) for v in range(n))
-    width = n + 2
-    # packed (1+x)^k for k = 0..n; the slot width depends on n, so the table
-    # belongs to this call
-    one_plus_x_pow = [1]
-    for _ in range(n):
-        prev = one_plus_x_pow[-1]
-        one_plus_x_pow.append(prev + (prev << width))
+    width = g.n + 2
+    one_plus_x = 1 + (1 << width)
     memo: dict[int, int] = {}
 
     def solve(mask: int) -> int:
@@ -85,7 +84,7 @@ def independence_polynomial(g: Graph, *, _dispatch: bool = True) -> IntPoly:
                 break
             rest ^= low
         if not rest:
-            result = one_plus_x_pow[mask.bit_count()]
+            result = one_plus_x ** mask.bit_count()
         else:
             comps = mask_components(adj, mask)
             if len(comps) > 1:
@@ -93,22 +92,25 @@ def independence_polynomial(g: Graph, *, _dispatch: bool = True) -> IntPoly:
                 for comp in comps[1:]:
                     result *= solve(comp)
             else:
-                steps = bag = None
                 size = mask.bit_count()
-                if _dispatch and size >= _DP_MIN_VERTICES:
-                    steps, bag = _frontier_order(adj, mask, _DP_BUDGET_PER_VERTEX * size,
-                                                 _DP_MAX_MEAN_DEGREE)
-                if steps is not None:
-                    result = frontier_dp(adj, steps, width)
+                degree_sum, v = _degree_scan(adj, mask)
+                if _dispatch and degree_sum == 2 * size - 2:
+                    # connected with size - 1 edges: a tree
+                    result = tree_dp(adj, mask, width)
                 else:
-                    if bag is None:
-                        v = _max_degree_vertex(adj, mask)
+                    steps = bag = None
+                    if _dispatch and size >= _DP_MIN_VERTICES:
+                        steps, bag = _frontier_order(adj, mask, _DP_BUDGET_PER_VERTEX * size,
+                                                     _DP_MAX_MEAN_DEGREE)
+                    if steps is not None:
+                        result = frontier_dp(adj, steps, width)
                     else:
-                        # removing a vertex of the bag that broke the budget
-                        # narrows exactly that bag (the bag is the whole mask
-                        # after a mean-degree rejection)
-                        v = max(_bits(bag), key=lambda u: (adj[u] & mask).bit_count())
-                    result = solve(mask & ~(1 << v)) + (solve(mask & ~closed[v]) << width)
+                        if bag is not None:
+                            # removing a vertex of the bag that broke the
+                            # budget narrows exactly that bag (the bag is the
+                            # whole mask after a mean-degree rejection)
+                            v = max(_bits(bag), key=lambda u: (adj[u] & mask).bit_count())
+                        result = solve(mask & ~(1 << v)) + (solve(mask & ~adj[v] & ~(1 << v)) << width)
         memo[mask] = result
         return result
 
@@ -213,6 +215,40 @@ def _frontier_order(adj, mask, budget, max_mean_degree):
         if budget is not None and cost > budget:
             return None, bag
     return steps, None
+
+
+def tree_dp(adj, mask: int, width: int) -> int:
+    """Packed I of the induced subgraph on ``mask``, which must be a tree.
+
+    Rooted at its lowest vertex, each vertex v carries out[v] and inc[v]:
+    the packed polynomials of the independent sets of v's subtree that leave
+    v out and that take it in.  Every vertex starts at out = 1 and inc = x,
+    where a leaf stays; in reverse breadth-first order each vertex folds
+    into its parent p, out[p] *= out[v] + inc[v] and inc[p] *= out[v], and
+    the root's out + inc is the answer.  Every value counts independent
+    sets of the graph's vertices, so the packed slots never carry.
+    """
+    root = (mask & -mask).bit_length() - 1
+    order = [root]
+    parents = [-1]
+    seen = 1 << root
+    for i, v in enumerate(order):
+        rest = adj[v] & mask & ~seen
+        seen |= rest
+        while rest:
+            low = rest & -rest
+            order.append(low.bit_length() - 1)
+            parents.append(i)
+            rest ^= low
+    size = len(order)
+    out = [1] * size
+    inc = [1 << width] * size
+    for i in range(size - 1, 0, -1):
+        p = parents[i]
+        o = out[i]
+        out[p] *= o + inc[i]
+        inc[p] *= o
+    return out[0] + inc[0]
 
 
 def frontier_dp(adj, steps: list[tuple[int, int]], width: int) -> int:

@@ -398,17 +398,21 @@ def components(g: Graph) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _max_degree_vertex(adj, mask: int) -> int:
+def _degree_scan(adj, mask: int) -> tuple[int, int]:
+    """(sum of the degrees, lowest vertex of maximum degree) in the induced
+    subgraph on the mask."""
     best_v, best_d = -1, -1
+    degree_sum = 0
     rest = mask
     while rest:
         low = rest & -rest
         v = low.bit_length() - 1
         d = (adj[v] & mask).bit_count()
+        degree_sum += d
         if d > best_d:
             best_v, best_d = v, d
         rest ^= low
-    return best_v
+    return degree_sum, best_v
 
 
 def alpha(g: Graph) -> int:
@@ -432,7 +436,7 @@ def alpha(g: Graph) -> int:
             if m.bit_count() == 1:
                 r = 1
             else:
-                v = _max_degree_vertex(adj, m)
+                v = _degree_scan(adj, m)[1]
                 r = max(best(m & ~(1 << v)), 1 + best(m & ~closed[v]))
         memo[mask] = r
         return r
@@ -495,23 +499,29 @@ def is_claw_free(g: Graph) -> bool:
 
 
 def _tree_centers(g: Graph) -> list[int]:
-    # repeatedly strip leaves; the last one or two survivors are the centers
-    degree = [g.degree(v) for v in range(g.n)]
-    alive = g.n
-    layer = [v for v in range(g.n) if degree[v] <= 1]
-    removed = [False] * g.n
-    while alive > 2:
-        nxt = []
-        for v in layer:
-            removed[v] = True
-            alive -= 1
-            for w in _bits(g.adj[v]):
-                if not removed[w]:
-                    degree[w] -= 1
-                    if degree[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return [v for v in range(g.n) if not removed[v]]
+    # peel leaf layers off as masks; the last one or two survivors are the
+    # centers.  Each new layer lies among the neighbours of the last one.
+    adj = g.adj
+    alive = g.full_mask
+    layer = 0
+    for v, row in enumerate(adj):
+        if not row & (row - 1):
+            layer |= 1 << v
+    while alive.bit_count() > 2:
+        alive ^= layer
+        touched = 0
+        while layer:
+            low = layer & -layer
+            touched |= adj[low.bit_length() - 1]
+            layer ^= low
+        touched &= alive
+        while touched:
+            low = touched & -touched
+            left = adj[low.bit_length() - 1] & alive
+            if not left & (left - 1):
+                layer |= low
+            touched ^= low
+    return list(_bits(alive))
 
 
 def _ahu_code(g: Graph, root: int) -> bytes:

@@ -407,19 +407,19 @@ def _free_level_sequences(n: int) -> Iterator[list[int]]:
         levels = _next_rooted(levels)
 
 
-def _level_sequence_tree(levels: list[int]) -> Graph:
+def _level_sequence_tree(levels: Sequence[int]) -> Graph:
     """The tree of a level sequence: each vertex hangs from the latest
-    vertex one level up, kept on a stack of the current root path."""
-    adj = [0] * len(levels)
-    path: list[int] = []
-    for v, depth in enumerate(levels):
-        del path[depth:]
-        if depth:
-            u = path[-1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        path.append(v)
-    return Graph(len(levels), tuple(adj))
+    vertex one level up."""
+    n = len(levels)
+    adj = [0] * n
+    latest = [0] * n
+    for v in range(1, n):
+        depth = levels[v]
+        u = latest[depth - 1]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        latest[depth] = v
+    return Graph(n, tuple(adj))
 
 
 def free_tree_count(n: int) -> int:
@@ -427,21 +427,25 @@ def free_tree_count(n: int) -> int:
     return sum(1 for _ in _free_level_sequences(n))
 
 
-def distinct_trees(n: int) -> list[tuple[bytes, Graph]]:
-    """All non-isomorphic trees on n >= 1 vertices as (canonical code, tree)
-    pairs, sorted by code."""
+def _coded_level_sequences(n: int) -> list[tuple[bytes, bytes]]:
+    """(canonical code, level sequence as bytes) for every tree on n >= 1
+    vertices, sorted by code.  A level sequence takes n bytes where its tree
+    takes an int per vertex, so a whole size fits in memory at once."""
     if n < 1:
         raise ValueError("a tree needs at least 1 vertex")
     coded = sorted(
-        (
-            (tree_canonical_code(g), g)
-            for g in map(_level_sequence_tree, _free_level_sequences(n))
-        ),
-        key=lambda pair: pair[0],
+        (tree_canonical_code(_level_sequence_tree(levels)), bytes(levels))
+        for levels in _free_level_sequences(n)
     )
     if len({code for code, _ in coded}) != len(coded):
         raise AssertionError("canonical code collision in tree enumeration")
     return coded
+
+
+def distinct_trees(n: int) -> list[tuple[bytes, Graph]]:
+    """All non-isomorphic trees on n >= 1 vertices as (canonical code, tree)
+    pairs, sorted by code."""
+    return [(code, _level_sequence_tree(levels)) for code, levels in _coded_level_sequences(n)]
 
 
 # trees per task sent to a worker pool: one tree is well under a millisecond
@@ -449,10 +453,10 @@ def distinct_trees(n: int) -> list[tuple[bytes, Graph]]:
 _SCAN_CHUNK = 32
 
 
-def _scan_tree(coded: tuple[bytes, Graph]) -> ScanResult:
-    code, g = coded
-    poly = independence_polynomial(g)
-    return ScanResult(code, g.n, poly, property_report(poly))
+def _scan_tree(coded: tuple[bytes, bytes]) -> ScanResult:
+    code, levels = coded
+    poly = independence_polynomial(_level_sequence_tree(levels))
+    return ScanResult(code, len(levels), poly, property_report(poly))
 
 
 def tree_scan(n_min: int, n_max: int, pool=None) -> Iterator[ScanResult]:
@@ -465,7 +469,8 @@ def tree_scan(n_min: int, n_max: int, pool=None) -> Iterator[ScanResult]:
     """
     if not (2 <= n_min <= n_max <= TREE_SCAN_MAX):
         raise ValueError(f"bounds must satisfy 2 <= n_min <= n_max <= {TREE_SCAN_MAX}")
-    trees = (pair for n in range(n_min, n_max + 1) for pair in distinct_trees(n))
+    # each tree is built from its level sequence only when it is solved
+    trees = (pair for n in range(n_min, n_max + 1) for pair in _coded_level_sequences(n))
     if pool is None:
         return map(_scan_tree, trees)
     return pool.imap(_scan_tree, trees, chunksize=_SCAN_CHUNK)

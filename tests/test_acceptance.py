@@ -41,6 +41,7 @@ from indpoly.products import (
 )
 from indpoly.verify import (
     composition_soundness_scan,
+    distinct_trees,
     pendant_ladder_recurrence,
     pendant_ladder_trig_check,
     rooted_tree_product_check,
@@ -324,6 +325,21 @@ def test_c12_tree_scan():
     assert elapsed < 600
     total = sum(counts.values())
     print(f"\nACCEPTANCE 12 PASS: {total} trees scanned, 0 violations, {elapsed:.1f}s")
+
+
+def test_c12_scanned_polynomials_match_oracles():
+    # the scan's polynomials against the branching recursion alone and the
+    # brute-force enumerator, in the order the scan streams them
+    expected = []
+    for n in range(2, 11):
+        for code, tree in distinct_trees(n):
+            poly = brute_force_independence_polynomial(tree)
+            assert independence_polynomial(tree, _dispatch=False) == poly
+            assert independence_polynomial(tree) == poly
+            expected.append((n, code, poly))
+    scanned = [(r.n, r.canonical_code, r.polynomial) for r in tree_scan(2, 10)]
+    assert scanned == expected
+    assert len(expected) == sum(helpers.KNOWN_TREE_COUNTS[n] for n in range(2, 11))
 
 
 def test_c13_performance():

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -20,9 +21,11 @@ from indpoly.graphs import (
     components,
     delete_closed_neighborhood,
     delete_vertex,
+    prufer_decode,
 )
 from indpoly.polynomials import ONE_PLUS_X, IntPoly
 from indpoly.products import disjoint_union, join
+from indpoly.verify import distinct_trees
 
 
 def fam(kind, *params):
@@ -367,6 +370,132 @@ def test_dispatch_hands_narrow_components_to_dp(monkeypatch):
     assert calls == []
     assert independence_polynomial(grid(8, 8)) == independence_polynomial(grid(8, 8), _dispatch=False)
     assert calls == [1]
+
+
+# ---------------------------------------------------------------------------
+# tree DP
+# ---------------------------------------------------------------------------
+
+
+def is_tree_mask(adj, mask):
+    """Connected, with one edge fewer than vertices, by a plain search."""
+    vertices = [v for v in range(len(adj)) if mask >> v & 1]
+    edges = sum((adj[v] & mask).bit_count() for v in vertices) // 2
+    reached, todo = {vertices[0]}, [vertices[0]]
+    while todo:
+        v = todo.pop()
+        for u in vertices:
+            if adj[v] >> u & 1 and u not in reached:
+                reached.add(u)
+                todo.append(u)
+    return len(reached) == len(vertices) and edges == len(vertices) - 1
+
+
+@pytest.fixture
+def tree_dp_masks(monkeypatch):
+    """The masks the recursion hands to ``tree_dp``, each checked to be a tree."""
+    masks = []
+    dp = engine.tree_dp
+
+    def checked(adj, mask, width):
+        assert is_tree_mask(adj, mask)
+        masks.append(mask)
+        return dp(adj, mask, width)
+
+    monkeypatch.setattr(engine, "tree_dp", checked)
+    return masks
+
+
+def random_forest(rng, n):
+    # each vertex hangs from an earlier one, or starts a new tree (a vertex
+    # starting a tree that nothing joins stays isolated); then relabelled
+    edges = [(v, rng.randrange(v)) for v in range(1, n) if rng.random() > 0.15]
+    return relabeled(rng, Graph.from_edges(n, edges))
+
+
+def edge_components(g):
+    return sorted(c for c in components(g) if c.bit_count() > 1)
+
+
+def test_tree_dp_matches_branching_and_brute_force(tree_dp_masks):
+    # every tree up to 10 vertices, relabelled so that the root of the DP
+    # (the lowest vertex) falls anywhere in it
+    rng = random.Random(1010)
+    for n in range(2, 11):
+        for _, tree in distinct_trees(n):
+            g = relabeled(rng, tree)
+            expected = brute_force_independence_polynomial(g)
+            assert independence_polynomial(g, _dispatch=False) == expected
+            assert tree_dp_masks == []
+            assert independence_polynomial(g) == expected
+            assert tree_dp_masks == [g.full_mask]
+            tree_dp_masks.clear()
+    # forests: one DP per component with an edge, none for isolated vertices
+    isolated = 0
+    for _ in range(40):
+        g = random_forest(rng, rng.randint(1, 24))
+        isolated += sum(1 for c in components(g) if c.bit_count() == 1)
+        expected = brute_force_independence_polynomial(g)
+        assert independence_polynomial(g, _dispatch=False) == expected
+        assert independence_polynomial(g) == expected
+        assert sorted(tree_dp_masks) == edge_components(g)
+        tree_dp_masks.clear()
+    assert isolated
+
+
+def test_tree_dp_above_brute_force_cap(tree_dp_masks):
+    rng = random.Random(3064)
+    for n in (30, 41, 50, 57, 64):
+        g = prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+        assert independence_polynomial(g) == frontier_independence_polynomial(g)
+        assert tree_dp_masks == [g.full_mask]
+        tree_dp_masks.clear()
+    # closed forms at the packed-slot limit: i_k(P_64) = C(65 - k, k)
+    path = independence_polynomial(fam("path", 64))
+    assert path == IntPoly(tuple(comb(65 - k, k) for k in range(33)))
+    assert independence_polynomial(fam("star", 63)) == ONE_PLUS_X ** 63 + IntPoly((0, 1))
+    assert tree_dp_masks == [(1 << 64) - 1, (1 << 64) - 1]
+
+
+def test_tree_dp_rejects_cyclic_graphs_with_few_edges(tree_dp_masks):
+    # a cycle plus isolated vertices has fewer edges than vertices but is no
+    # tree; nor is a cycle with pendant paths (as many edges as vertices)
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    graphs = [Graph.from_edges(n, triangle) for n in (3, 4, 6)]
+    graphs.append(Graph.from_edges(7, [(1, 3), (3, 5), (5, 1), (0, 6)]))
+    graphs.append(Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)]))
+    graphs.append(Graph.from_edges(9, triangle + [(2, 3), (3, 4), (5, 6), (6, 7)]))
+    rng = random.Random(77)
+    graphs += [relabeled(rng, g) for g in graphs]
+    for g in graphs:
+        assert independence_polynomial(g) == brute_force_independence_polynomial(g)
+        assert g.full_mask not in tree_dp_masks
+    assert tree_dp_masks  # the pendant paths and the stray edges are trees
+
+
+def test_recursion_hands_tree_components_to_tree_dp(tree_dp_masks, monkeypatch):
+    # under the DP floor a cycle branches once, on vertex 0, and leaves the
+    # two paths G - 0 and G - N[0]
+    n = engine._DP_MIN_VERTICES - 1
+    assert independence_polynomial(fam("cycle", n)) == independence_polynomial(
+        fam("cycle", n), _dispatch=False)
+    full = (1 << n) - 1
+    assert tree_dp_masks == [full & ~1, full & ~0b11 & ~(1 << (n - 1))]
+    # cycle:40 is narrow, so the frontier DP takes it whole at the root
+    tree_dp_masks.clear()
+    dp_calls = []
+    dp = engine.frontier_dp
+    monkeypatch.setattr(engine, "frontier_dp", lambda *args: dp_calls.append(1) or dp(*args))
+    independence_polynomial(fam("cycle", 40))
+    assert dp_calls == [1] and tree_dp_masks == []
+    # dense graphs above the cap, whose mean degree keeps them branching:
+    # trees are left deep in the recursion
+    rng = random.Random(4096)
+    for n, p in ((30, 0.3), (26, 0.35)):
+        g = helpers.random_graph(rng, n, p)
+        tree_dp_masks.clear()
+        assert independence_polynomial(g) == independence_polynomial(g, _dispatch=False)
+        assert max(mask.bit_count() for mask in tree_dp_masks) >= 5
 
 
 # ---------------------------------------------------------------------------

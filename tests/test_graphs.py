@@ -399,6 +399,35 @@ def test_tree_code_rejects_non_trees():
         tree_canonical_code(build_family(FamilySpec("empty", (2,))))
 
 
+def eccentricity_centers(g):
+    """Vertices of least eccentricity, by a breadth-first search from each."""
+    ecc = []
+    for source in range(g.n):
+        dist = {source: 0}
+        todo = [source]
+        for v in todo:
+            for w in range(g.n):
+                if g.has_edge(v, w) and w not in dist:
+                    dist[w] = dist[v] + 1
+                    todo.append(w)
+        ecc.append(max(dist.values()))
+    return [v for v in range(g.n) if ecc[v] == min(ecc)]
+
+
+def test_tree_centers_are_least_eccentric():
+    from indpoly.graphs import _tree_centers
+    from indpoly.verify import distinct_trees
+
+    rng = random.Random(515)
+    for n in range(1, 11):
+        for _, tree in distinct_trees(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            copy = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in tree.edges()])
+            for g in (tree, copy):
+                assert _tree_centers(g) == eccentricity_centers(g)
+
+
 def test_labeled_trees_on_five_vertices_give_three_codes():
     codes = {
         tree_canonical_code(prufer_decode(seq, 5))
