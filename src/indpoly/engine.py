@@ -32,16 +32,16 @@ Dispatch: a connected, non-edgeless node has its degrees summed once.  If it
 has one edge fewer than vertices it is a tree, of any size, and ``tree_dp``
 solves it: the tree inputs, the forests' components, the paths left when a
 cycle loses a vertex, and the trees left deep in a dense graph's branching.
-Otherwise, at a node of at least ``_DP_MIN_VERTICES`` vertices, the recursion
-orders the component, unless its mean degree is above
-``_DP_MAX_MEAN_DEGREE``, where frontiers grow too wide to be worth ordering.
-If the cost estimate stays within ``_DP_BUDGET_PER_VERTEX`` times the
-component's size, the frontier DP solves the component.  The order is
-abandoned as soon as it passes the budget, and the recursion then branches
-inside the bag that broke it (the frontier plus the vertex just added), on
-the bag vertex with the most neighbours in the component: deleting it narrows
-exactly that bag.  A component rejected on mean degree, or one under
-``_DP_MIN_VERTICES`` vertices, branches on a vertex of maximum degree, the
+Otherwise the same degree sum gates the frontier order: the recursion orders
+a component of at least ``_DP_MIN_VERTICES`` vertices whose mean degree is at
+most ``_DP_MAX_MEAN_DEGREE``; above it frontiers grow too wide to be worth
+ordering.  If the cost estimate stays within ``_DP_BUDGET_PER_VERTEX`` times
+the component's size, the frontier DP solves the component.  The order is
+abandoned as soon as it passes the budget, and ``frontier_order`` returns the
+bag that broke it (the frontier plus the vertex just added); the recursion
+branches inside that bag, on the bag vertex with the most neighbours in the
+component: deleting it narrows exactly that bag.  Any other component, too
+small or too dense to order, branches on a vertex of maximum degree, the
 lowest such vertex found by the same pass that summed the degrees.
 """
 
@@ -99,16 +99,15 @@ def independence_polynomial(g: Graph, *, _dispatch: bool = True) -> IntPoly:
                     result = tree_dp(adj, mask, width)
                 else:
                     steps = bag = None
-                    if _dispatch and size >= _DP_MIN_VERTICES:
-                        steps, bag = _frontier_order(adj, mask, _DP_BUDGET_PER_VERTEX * size,
-                                                     _DP_MAX_MEAN_DEGREE)
+                    if (_dispatch and size >= _DP_MIN_VERTICES
+                            and degree_sum <= _DP_MAX_MEAN_DEGREE * size):
+                        steps, bag = frontier_order(adj, mask, _DP_BUDGET_PER_VERTEX * size)
                     if steps is not None:
                         result = frontier_dp(adj, steps, width)
                     else:
                         if bag is not None:
                             # removing a vertex of the bag that broke the
-                            # budget narrows exactly that bag (the bag is the
-                            # whole mask after a mean-degree rejection)
+                            # budget narrows exactly that bag
                             v = max(_bits(bag), key=lambda u: (adj[u] & mask).bit_count())
                         result = solve(mask & ~(1 << v)) + (solve(mask & ~adj[v] & ~(1 << v)) << width)
         memo[mask] = result
@@ -120,31 +119,22 @@ def independence_polynomial(g: Graph, *, _dispatch: bool = True) -> IntPoly:
 def frontier_independence_polynomial(g: Graph) -> IntPoly:
     """Exact I(G;x) by the frontier DP alone, with no branching and no budget."""
     width = g.n + 2
-    return _unpack(frontier_dp(g.adj, frontier_order(g.adj, g.full_mask), width), width)
+    return _unpack(frontier_dp(g.adj, frontier_order(g.adj, g.full_mask)[0], width), width)
 
 
-def frontier_order(adj, mask: int, budget: int | None = None,
-                   max_mean_degree: int | None = None) -> list[tuple[int, int]] | None:
-    """A vertex order of the mask for ``frontier_dp``: one (vertex, forget
-    mask) pair per step, the forget mask naming the vertices that leave the
-    frontier once the vertex is in.
+def frontier_order(adj, mask: int, budget: int | None = None
+                   ) -> tuple[list[tuple[int, int]] | None, int | None]:
+    """A vertex order of the mask for ``frontier_dp``, as (steps, None): one
+    (vertex, forget mask) pair per step, the forget mask naming the vertices
+    that leave the frontier once the vertex is in.
 
     Each step introduces, among the neighbours of the frontier, the vertex
     that leaves the smallest frontier; ties go to the vertex with more
     neighbours in the frontier, then to the lower index.  When the frontier
     has no neighbour left (at the start, or between components), a vertex of
-    least degree starts the next run.  Returns None, before any order is
-    built, if the mean degree in the mask is above ``max_mean_degree``, or as
-    soon as the sum of 2^(frontier width) over the steps passes ``budget``.
-    """
-    return _frontier_order(adj, mask, budget, max_mean_degree)[0]
-
-
-def _frontier_order(adj, mask, budget, max_mean_degree):
-    """``frontier_order`` as (steps, None), or (None, bag) when the order is
-    rejected: the bag is the whole mask after a mean-degree rejection, and
-    the frontier plus the vertex just added at the step that passed the
-    budget.
+    least degree starts the next run.  As soon as the sum of 2^(frontier
+    width) over the steps passes ``budget``, the order is abandoned and
+    (None, bag) returned: the bag is the frontier plus the vertex just added.
 
     Introducing v leaves a frontier of width + (v has a neighbour to come) -
     sole[v], where sole[v] counts the frontier vertices whose only neighbour
@@ -153,15 +143,11 @@ def _frontier_order(adj, mask, budget, max_mean_degree):
     """
     remaining = [0] * len(adj)
     rest = mask
-    degree_sum = 0
     while rest:
         low = rest & -rest
         v = low.bit_length() - 1
         remaining[v] = adj[v] & mask
-        degree_sum += remaining[v].bit_count()
         rest ^= low
-    if max_mean_degree is not None and degree_sum > max_mean_degree * mask.bit_count():
-        return None, mask
     sole = [0] * len(adj)
     steps = []
     frontier = 0

@@ -97,18 +97,19 @@ def parse_edge_list(source: str | Iterable[str]) -> Graph:
     open text file or any other iterable of lines, read one line at a time.
 
     Blank lines and lines starting with '#' are ignored.  Duplicate edges are
-    permitted; every diagnostic names its 1-based line number.
+    permitted; every diagnostic names its 1-based line number.  Each edge is
+    folded into the adjacency rows as it is read, so a file is held in
+    memory proportional to n, whatever its length.
     """
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    n = m = 0
+    adj: list[int] | None = None  # None until the header is read
+    n = m = seen = 0
     lines = source.splitlines() if isinstance(source, str) else source
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if header is None:
+        if adj is None:
             if len(fields) != 2:
                 raise GraphParseError(f"line {lineno}: expected 'n m' header")
             try:
@@ -121,9 +122,9 @@ def parse_edge_list(source: str | Iterable[str]) -> Graph:
                 raise GraphParseError(
                     f"line {lineno}: {n} vertices exceeds the cap of {MAX_VERTICES}"
                 )
-            header = (n, m)
+            adj = [0] * n
             continue
-        if len(edges) == m:
+        if seen == m:
             raise GraphParseError(f"line {lineno}: more than {m} edge lines")
         if len(fields) != 2:
             raise GraphParseError(f"line {lineno}: expected 'u v'")
@@ -135,12 +136,14 @@ def parse_edge_list(source: str | Iterable[str]) -> Graph:
             raise GraphParseError(f"line {lineno}: vertex index out of range 0..{n - 1}")
         if u == v:
             raise GraphParseError(f"line {lineno}: loop edge at vertex {u}")
-        edges.append((u, v))
-    if header is None:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        seen += 1
+    if adj is None:
         raise GraphParseError("line 1: empty input, expected 'n m' header")
-    if len(edges) != m:
-        raise GraphParseError(f"expected {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    if seen != m:
+        raise GraphParseError(f"expected {m} edges, found {seen}")
+    return Graph(n, tuple(adj))
 
 
 def emit_edge_list(g: Graph) -> str:
@@ -150,6 +153,9 @@ def emit_edge_list(g: Graph) -> str:
 
 
 _G6_HEADER = ">>graph6<<"
+# the longest encoding of a graph within the cap: the 4-character long size
+# form, then one character per 6 bits of the upper triangle
+_G6_MAX_LENGTH = 4 + (MAX_VERTICES * (MAX_VERTICES - 1) // 2 + 5) // 6
 
 
 def parse_graph6(line: str) -> Graph:
@@ -159,6 +165,11 @@ def parse_graph6(line: str) -> Graph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise GraphParseError("empty graph6 string")
+    if len(s) > _G6_MAX_LENGTH:
+        raise GraphParseError(
+            f"graph6 string of {len(s)} characters is longer than any graph"
+            f" within the cap of {MAX_VERTICES} vertices ({_G6_MAX_LENGTH})"
+        )
     data = [ord(ch) - 63 for ch in s]
     for pos, val in enumerate(data):
         if not (0 <= val <= 63):
@@ -415,33 +426,39 @@ def _degree_scan(adj, mask: int) -> tuple[int, int]:
     return degree_sum, best_v
 
 
-def alpha(g: Graph) -> int:
-    """Maximum independent set size, by memoized branching on a max-degree
-    vertex with component splitting."""
+def _component_sum(g: Graph, branch: Callable[[int, Callable[[int], int]], int]) -> int:
+    """A memoized recursion over induced-subgraph masks whose value adds up
+    over connected components: a disconnected mask is split, and a connected
+    one is handed to ``branch(mask, solve)``, which recurses through
+    ``solve``.  The empty mask is worth 0."""
     adj = g.adj
-    closed = [adj[v] | (1 << v) for v in range(g.n)]
-    memo: dict[int, int] = {}
+    memo: dict[int, int] = {0: 0}
 
-    def best(mask: int) -> int:
-        if mask == 0:
-            return 0
+    def solve(mask: int) -> int:
         hit = memo.get(mask)
         if hit is not None:
             return hit
         comps = mask_components(adj, mask)
         if len(comps) > 1:
-            r = sum(best(c) for c in comps)
+            r = sum(solve(c) for c in comps)
         else:
-            m = comps[0]
-            if m.bit_count() == 1:
-                r = 1
-            else:
-                v = _degree_scan(adj, m)[1]
-                r = max(best(m & ~(1 << v)), 1 + best(m & ~closed[v]))
+            r = branch(mask, solve)
         memo[mask] = r
         return r
 
-    return best(g.full_mask)
+    return solve(g.full_mask)
+
+
+def alpha(g: Graph) -> int:
+    """Maximum independent set size, by memoized branching on a max-degree
+    vertex with component splitting."""
+    adj = g.adj
+
+    def best(mask: int, solve) -> int:
+        v = _degree_scan(adj, mask)[1]
+        return max(solve(mask & ~(1 << v)), 1 + solve(mask & ~adj[v] & ~(1 << v)))
+
+    return _component_sum(g, best)
 
 
 def _min_maximal_independent(g: Graph) -> int:
@@ -451,30 +468,17 @@ def _min_maximal_independent(g: Graph) -> int:
     closed neighborhood of a minimum-degree vertex is exhaustive.
     """
     adj = g.adj
-    closed = [adj[v] | (1 << v) for v in range(g.n)]
-    memo: dict[int, int] = {}
 
-    def best(mask: int) -> int:
-        if mask == 0:
-            return 0
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        comps = mask_components(adj, mask)
-        if len(comps) > 1:
-            r = sum(best(c) for c in comps)
-        else:
-            m = comps[0]
-            v, vd = -1, 1 << 30
-            for u in _bits(m):
-                d = (adj[u] & m).bit_count()
-                if d < vd:
-                    v, vd = u, d
-            r = min(1 + best(m & ~closed[u]) for u in _bits(closed[v] & m))
-        memo[mask] = r
-        return r
+    def best(mask: int, solve) -> int:
+        v, vd = -1, 1 << 30
+        for u in _bits(mask):
+            d = (adj[u] & mask).bit_count()
+            if d < vd:
+                v, vd = u, d
+        closed = (adj[v] | 1 << v) & mask
+        return min(1 + solve(mask & ~adj[u] & ~(1 << u)) for u in _bits(closed))
 
-    return best(g.full_mask)
+    return _component_sum(g, best)
 
 
 def is_well_covered(g: Graph) -> bool:

@@ -3,8 +3,7 @@
 Everything here is exact: coefficients are Python ints, rationals are
 ``fractions.Fraction``, and every predicate (unimodality, log-concavity,
 symmetry, Newton's inequalities, real-rootedness) is decided by integer
-comparisons only.  Floating point appears solely in ``eval_float``, which
-exists for numeric cross-checks and never feeds an accept/reject decision.
+comparisons only.  No floating point appears here.
 """
 
 from __future__ import annotations
@@ -147,12 +146,6 @@ class IntPoly:
             acc = acc * q + c
         return acc
 
-    def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     # -- plumbing -----------------------------------------------------------
 
     def __eq__(self, other):
@@ -170,7 +163,6 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)!r})"
 
 
-ZERO = IntPoly()
 ONE = IntPoly((1,))
 X = IntPoly((0, 1))
 ONE_PLUS_X = IntPoly((1, 1))

@@ -156,18 +156,15 @@ def random_regular_graph(rng: random.Random, n: int, d: int) -> Graph:
             return Graph.from_edges(n, sorted(edges))
 
 
-def reference_frontier_order(adj, mask: int, budget=None, max_mean_degree=None):
+def reference_frontier_order(adj, mask: int, budget=None):
     """Slow oracle of the documented ``frontier_order`` rule, scoring every
     candidate from scratch: introduce, among the neighbours of the frontier,
     the vertex that leaves the smallest frontier, ties to more neighbours in
     the frontier, then to the lower index; restart an empty frontier at a
-    vertex of least degree among those left.  None when the mean degree in
-    the mask is above ``max_mean_degree`` or the sum of 2^(frontier width)
-    passes ``budget``."""
+    vertex of least degree among those left.  (steps, None), or (None, bag)
+    as soon as the sum of 2^(frontier width) passes ``budget``, the bag being
+    the frontier plus the vertex just added."""
     remaining = [adj[v] & mask if mask >> v & 1 else 0 for v in range(len(adj))]
-    if (max_mean_degree is not None
-            and sum(r.bit_count() for r in remaining) > max_mean_degree * mask.bit_count()):
-        return None
     steps, frontier, todo, cost = [], 0, mask, 0
     while todo:
         candidates = 0
@@ -190,12 +187,13 @@ def reference_frontier_order(adj, mask: int, budget=None, max_mean_degree=None):
         todo ^= 1 << v
         for u in _bits(adj[v] & mask):
             remaining[u] &= ~(1 << v)
-        frontier = (frontier | 1 << v) & ~forget
+        bag = frontier | 1 << v
+        frontier = bag & ~forget
         steps.append((v, forget))
         cost += 1 << size
         if budget is not None and cost > budget:
-            return None
-    return steps
+            return None, bag
+    return steps, None
 
 
 def all_prufer_trees(n: int):

@@ -191,20 +191,22 @@ def test_frontier_order_width():
     # a weaker ordering heuristic fails here without any clock
     rng = random.Random(88)
     for g in (grid(8, 8), relabeled(rng, grid(8, 8))):
-        assert max(frontier_widths(g, frontier_order(g.adj, g.full_mask))) <= 8
+        assert max(frontier_widths(g, frontier_order(g.adj, g.full_mask)[0])) <= 8
     for g in (fam("cycle", 40), fam("path", 64), relabeled(rng, fam("cycle", 40))):
-        assert max(frontier_widths(g, frontier_order(g.adj, g.full_mask))) <= 2
+        assert max(frontier_widths(g, frontier_order(g.adj, g.full_mask)[0])) <= 2
 
 
-def test_frontier_order_budget_and_mean_degree():
+def test_frontier_order_budget():
     g = grid(8, 8)
-    widths = frontier_widths(g, frontier_order(g.adj, g.full_mask))
-    cost = sum(1 << w for w in widths)
-    assert frontier_order(g.adj, g.full_mask, budget=cost) is not None
-    assert frontier_order(g.adj, g.full_mask, budget=cost - 1) is None
-    # the grid has 112 edges on 64 vertices: mean degree 3.5
-    assert frontier_order(g.adj, g.full_mask, max_mean_degree=4) is not None
-    assert frontier_order(g.adj, g.full_mask, max_mean_degree=3) is None
+    steps, bag = frontier_order(g.adj, g.full_mask)
+    assert bag is None
+    cost = sum(1 << w for w in frontier_widths(g, steps))
+    assert frontier_order(g.adj, g.full_mask, budget=cost) == (steps, None)
+    # one short of the full cost, the order fails at its last step, whose
+    # bag is the last vertex and its neighbours, all still in the frontier
+    last = steps[-1][0]
+    bag = g.adj[last] | 1 << last
+    assert frontier_order(g.adj, g.full_mask, budget=cost - 1) == (None, bag)
 
 
 def order_cost(steps):
@@ -238,19 +240,15 @@ def test_frontier_order_matches_reference_rule():
         cases.append((g, mask))
     assert len(cases) >= 40
     for g, mask in cases:
-        steps = helpers.reference_frontier_order(g.adj, mask)
-        assert frontier_order(g.adj, mask) == steps
+        steps, _ = helpers.reference_frontier_order(g.adj, mask)
+        assert frontier_order(g.adj, mask) == (steps, None)
         assert sorted(v for v, _ in steps) == [v for v in range(g.n) if mask >> v & 1]
         cost = order_cost(steps)
-        for budget, expected in ((cost, steps), (cost - 1, None)):
-            assert helpers.reference_frontier_order(g.adj, mask, budget) == expected
+        assert frontier_order(g.adj, mask, cost) == (steps, None)
+        for budget in (cost - 1, cost // 3):
+            expected = helpers.reference_frontier_order(g.adj, mask, budget)
+            assert expected[0] is None and expected[1] & mask == expected[1]
             assert frontier_order(g.adj, mask, budget) == expected
-        size = mask.bit_count()
-        degree_sum = sum((g.adj[v] & mask).bit_count() for v in range(g.n) if mask >> v & 1)
-        above = -(-degree_sum // size)  # the mean degree, rounded up
-        for bound, expected in ((above, steps), (above - 1, None)):
-            assert helpers.reference_frontier_order(g.adj, mask, None, bound) == expected
-            assert frontier_order(g.adj, mask, None, bound) == expected
 
 
 def test_frontier_dp_hand_written_steps():
@@ -285,17 +283,16 @@ def test_rejected_orders_branch_inside_the_failing_bag(monkeypatch):
     # graphs above the brute-force cap whose orders run over budget, so the
     # recursion branches inside the failing bag; three routes must agree
     rejected = []
-    order = engine._frontier_order
+    order = engine.frontier_order
 
-    def counted(adj, mask, budget, max_mean_degree):
-        steps, bag = order(adj, mask, budget, max_mean_degree)
-        degree_sum = sum((adj[v] & mask).bit_count() for v in range(len(adj)) if mask >> v & 1)
-        if steps is None and degree_sum <= max_mean_degree * mask.bit_count():
+    def counted(adj, mask, budget=None):
+        steps, bag = order(adj, mask, budget)
+        if steps is None:
             assert bag and not bag & ~mask
             rejected.append(mask)
         return steps, bag
 
-    monkeypatch.setattr(engine, "_frontier_order", counted)
+    monkeypatch.setattr(engine, "frontier_order", counted)
     rng = random.Random(3140)
     graphs = [helpers.random_regular_graph(rng, n, 5) for n in (30, 36, 40)]
     graphs += [helpers.random_regular_graph(rng, 40, 4), helpers.random_graph(rng, 40, 0.15)]
@@ -370,6 +367,32 @@ def test_dispatch_hands_narrow_components_to_dp(monkeypatch):
     assert calls == []
     assert independence_polynomial(grid(8, 8)) == independence_polynomial(grid(8, 8), _dispatch=False)
     assert calls == [1]
+
+
+def test_dispatch_gates_components_on_mean_degree(monkeypatch):
+    # the recursion orders only components of at least _DP_MIN_VERTICES
+    # vertices whose mean degree is at most _DP_MAX_MEAN_DEGREE, from the
+    # degree sum it already has: a 6-regular graph is branched at its root,
+    # the 8x8 grid (mean degree 3.5) is ordered there
+    ordered = []
+    order = engine.frontier_order
+
+    def checked(adj, mask, budget=None):
+        size = mask.bit_count()
+        degree_sum = sum((adj[v] & mask).bit_count() for v in range(len(adj)) if mask >> v & 1)
+        assert size >= engine._DP_MIN_VERTICES
+        assert degree_sum <= engine._DP_MAX_MEAN_DEGREE * size
+        ordered.append(mask)
+        return order(adj, mask, budget)
+
+    monkeypatch.setattr(engine, "frontier_order", checked)
+    rng = random.Random(606)
+    dense = helpers.random_regular_graph(rng, 30, 6)
+    for g, root_ordered in ((dense, False), (grid(8, 8), True)):
+        ordered.clear()
+        assert independence_polynomial(g) == independence_polynomial(g, _dispatch=False)
+        assert (g.full_mask in ordered) == root_ordered
+        assert ordered
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pickle
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from indpoly.graphs import (
     Graph,
     GraphError,
     GraphParseError,
+    _min_maximal_independent,
     alpha,
     build_family,
     components,
@@ -112,6 +114,22 @@ def test_parse_edge_list_streams_lines():
         parse_edge_list(lines())
 
 
+def test_parse_edge_list_memory_is_bounded_by_n(tmp_path):
+    # the header's m is unbounded and duplicate lines are allowed, so a
+    # parser holding the edges would grow with the file; rows do not
+    path = tmp_path / "long.txt"
+    path.write_text("2 200000\n" + "0 1\n" * 200_000)
+    tracemalloc.start()
+    try:
+        with open(path) as handle:
+            g = parse_edge_list(handle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == Graph.from_edges(2, [(0, 1)])
+    assert peak < 1_000_000
+
+
 def test_edge_list_roundtrip_random():
     rng = random.Random(11)
     for _ in range(1000):
@@ -148,6 +166,8 @@ def test_graph6_header_accepted():
         ("C", "too short"),
         ("A" + chr(30), "out of range"),
         ("~~~AAAA", "too large"),
+        # one character past the 340 of a 64-vertex graph (long size form)
+        ("~?@?" + "?" * 337, "longer than any graph"),
     ],
 )
 def test_parse_graph6_errors(line, fragment):
@@ -342,7 +362,11 @@ def test_is_well_covered_matches_maximal_enumeration():
     rng = random.Random(123)
     for _ in range(150):
         g = helpers.random_graph(rng, rng.randint(1, 9), rng.random())
-        assert is_well_covered(g) == (len(_maximal_set_sizes(g)) == 1)
+        sizes = _maximal_set_sizes(g)
+        assert is_well_covered(g) == (len(sizes) == 1)
+        assert _min_maximal_independent(g) == min(sizes)
+    empty = Graph.from_edges(0, [])
+    assert alpha(empty) == 0 and _min_maximal_independent(empty) == 0
 
 
 def test_pendant_doubling_is_well_covered():

@@ -300,11 +300,6 @@ def test_eval_rational():
     assert ONE_PLUS_X.eval_rational(Fraction(1, 2)) == Fraction(3, 2)
 
 
-def test_eval_float():
-    assert poly(1, 3, 1).eval_float(-1.0) == -1.0
-    assert abs(poly(2, 0, 1).eval_float(0.5) - 2.25) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # property reports
 # ---------------------------------------------------------------------------
