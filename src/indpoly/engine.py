@@ -5,7 +5,9 @@ the classic vertex recursion I(G) = I(G-v) + x*I(G-N[v]) over induced-subgraph
 masks, with connected components multiplied separately, edgeless remainders
 short-circuited to (1+x)^k, and results memoized by mask; a component that
 is a tree is solved by the rooted-tree DP ``tree_dp`` in one pass, and one
-whose frontier is narrow is handed to the frontier DP below.
+whose frontier is narrow is handed to the frontier DP below.  The tree DP's
+fold also runs on its own, on a parent array, as ``tree_polynomial``: the
+tree scan solves its trees that way, with no ``Graph``.
 ``frontier_independence_polynomial`` runs the frontier DP alone, with no
 branching, so the two mechanisms check each other on graphs of any size.
 ``brute_force_independence_polynomial`` enumerates every independent set with
@@ -206,13 +208,8 @@ def frontier_order(adj, mask: int, budget: int | None = None
 def tree_dp(adj, mask: int, width: int) -> int:
     """Packed I of the induced subgraph on ``mask``, which must be a tree.
 
-    Rooted at its lowest vertex, each vertex v carries out[v] and inc[v]:
-    the packed polynomials of the independent sets of v's subtree that leave
-    v out and that take it in.  Every vertex starts at out = 1 and inc = x,
-    where a leaf stays; in reverse breadth-first order each vertex folds
-    into its parent p, out[p] *= out[v] + inc[v] and inc[p] *= out[v], and
-    the root's out + inc is the answer.  Every value counts independent
-    sets of the graph's vertices, so the packed slots never carry.
+    A breadth-first search from its lowest vertex lists the vertices with
+    each one's parent before it, and ``tree_fold`` folds that list.
     """
     root = (mask & -mask).bit_length() - 1
     order = [root]
@@ -226,7 +223,22 @@ def tree_dp(adj, mask: int, width: int) -> int:
             order.append(low.bit_length() - 1)
             parents.append(i)
             rest ^= low
-    size = len(order)
+    return tree_fold(parents, width)
+
+
+def tree_fold(parents, width: int) -> int:
+    """Packed I of the rooted tree in which vertex i > 0 hangs from
+    parents[i] < i; vertex 0 is the root.
+
+    Each vertex v carries out[v] and inc[v]: the packed polynomials of the
+    independent sets of v's subtree that leave v out and that take it in.
+    Every vertex starts at out = 1 and inc = x, where a leaf stays; from the
+    last vertex down each one folds into its parent p, out[p] *= out[v] +
+    inc[v] and inc[p] *= out[v], and the root's out + inc is the answer.
+    Every value counts independent sets of at most width - 2 vertices, so
+    the packed slots never carry.
+    """
+    size = len(parents)
     out = [1] * size
     inc = [1 << width] * size
     for i in range(size - 1, 0, -1):
@@ -235,6 +247,13 @@ def tree_dp(adj, mask: int, width: int) -> int:
         out[p] *= o + inc[i]
         inc[p] *= o
     return out[0] + inc[0]
+
+
+def tree_polynomial(parents) -> IntPoly:
+    """I(T;x) of the tree in which vertex i > 0 hangs from parents[i] < i,
+    by ``tree_fold``; no ``Graph`` is built."""
+    width = len(parents) + 2
+    return _unpack(tree_fold(parents, width), width)
 
 
 def frontier_dp(adj, steps: list[tuple[int, int]], width: int) -> int:

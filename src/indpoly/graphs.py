@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import combinations
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 MAX_VERTICES = 64
 
@@ -92,18 +92,41 @@ def _check_vertex(g: Graph, v: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _text_lines(text: str) -> Iterator[str]:
+    r"""The lines of a string one at a time, split at "\n", "\r\n" or "\r"
+    as a file opened in text mode splits them.  The next position of each
+    separator is looked up only once the scan has passed the previous one,
+    so the whole string is searched once."""
+    end = len(text)
+    pos = 0
+    nl = cr = -1
+    while pos < end:
+        if nl < pos:
+            nl = text.find("\n", pos)
+            if nl < 0:
+                nl = end
+        if cr < pos:
+            cr = text.find("\r", pos)
+            if cr < 0:
+                cr = end
+        stop = min(nl, cr)
+        yield text[pos:stop]
+        pos = stop + 2 if stop == cr and nl == cr + 1 else stop + 1
+
+
 def parse_edge_list(source: str | Iterable[str]) -> Graph:
     """Parse the "n m" / "u v" edge-list format from a string, or from an
     open text file or any other iterable of lines, read one line at a time.
 
     Blank lines and lines starting with '#' are ignored.  Duplicate edges are
     permitted; every diagnostic names its 1-based line number.  Each edge is
-    folded into the adjacency rows as it is read, so a file is held in
-    memory proportional to n, whatever its length.
+    folded into the adjacency rows as it is read, and a string is split into
+    lines lazily, so the input is held in memory proportional to n, whatever
+    its length.
     """
     adj: list[int] | None = None  # None until the header is read
     n = m = seen = 0
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = _text_lines(source) if isinstance(source, str) else source
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -502,11 +525,11 @@ def is_claw_free(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _tree_centers(g: Graph) -> list[int]:
-    # peel leaf layers off as masks; the last one or two survivors are the
-    # centers.  Each new layer lies among the neighbours of the last one.
-    adj = g.adj
-    alive = g.full_mask
+def _tree_centers(adj) -> list[int]:
+    # on the adjacency rows of a tree: peel leaf layers off as masks; the
+    # last one or two survivors are the centers.  Each new layer lies among
+    # the neighbours of the last one.
+    alive = (1 << len(adj)) - 1
     layer = 0
     for v, row in enumerate(adj):
         if not row & (row - 1):
@@ -528,11 +551,12 @@ def _tree_centers(g: Graph) -> list[int]:
     return list(_bits(alive))
 
 
-def _ahu_code(g: Graph, root: int) -> bytes:
-    # breadth-first from the root, recording parents; then, deepest first,
-    # each vertex joins its sorted child codes and hands the result up
-    adj = g.adj
-    parent = [-1] * g.n
+def _ahu_code(adj, root: int) -> bytes:
+    # on the adjacency rows of a tree: breadth-first from the root, recording
+    # parents; then, deepest first, each vertex joins its sorted child codes
+    # and hands the result up
+    n = len(adj)
+    parent = [-1] * n
     order = [root]
     seen = 1 << root
     for v in order:
@@ -544,7 +568,7 @@ def _ahu_code(g: Graph, root: int) -> bytes:
             parent[w] = v
             order.append(w)
             rest ^= low
-    kids: list[list[bytes]] = [[] for _ in range(g.n)]
+    kids: list[list[bytes]] = [[] for _ in range(n)]
     for v in reversed(order):
         codes = kids[v]
         codes.sort()
@@ -563,7 +587,7 @@ def tree_canonical_code(g: Graph) -> bytes:
     """
     if g.n == 0 or g.edge_count() != g.n - 1 or len(components(g)) != 1:
         raise GraphError("input is not a tree")
-    return min(_ahu_code(g, c) for c in _tree_centers(g))
+    return min(_ahu_code(g.adj, c) for c in _tree_centers(g.adj))
 
 
 def prufer_decode(seq, n: int) -> Graph:

@@ -266,16 +266,24 @@ def newton_check(f: IntPoly) -> bool:
 # coefficient growth, which scales each member by a positive constant and
 # leaves its signs alone.
 #
-# ``real_rooted`` builds one chain, on f itself: f, f', then the negated
-# remainders.  When f has repeated zeros this is a generalised Sturm
-# sequence.  It ends at gcd(f, f') up to a constant, and dividing every
-# member by that last one multiplies all signs at a point by the same sign,
-# so V(-inf) - V(+inf) still counts the distinct real zeros of f.  The degree
-# of the last member is deg gcd(f, f'), so f is real-rooted exactly when the
-# count equals deg f minus that degree.
+# ``real_rooted`` walks one chain, on f itself: f, f', then the negated
+# remainders, and stops at the first member that rules f out.  When f has
+# repeated zeros this is a generalised Sturm sequence.  It ends at
+# gcd(f, f') up to a constant, and dividing every member by that last one
+# multiplies all signs at a point by the same sign, so V(-inf) - V(+inf)
+# still counts the distinct real zeros of f, and f is real-rooted exactly
+# when the count equals deg f minus deg gcd(f, f').  Take f primitive with
+# a positive leading coefficient.  Each adjacent pair of members adds +1 to
+# the count when their leading coefficients agree in sign and the degree
+# drops by an odd amount, 0 for an even drop, and -1 otherwise; there is one
+# pair per member after f, and the drops sum to deg f - deg gcd(f, f').  So
+# the count reaches that sum exactly when every member is one degree below
+# the one before and has a positive leading coefficient, and the walk
+# returns False at the first member that breaks either.  Most independence
+# polynomials of trees fail within the first few members.
 #
 # ``count_distinct_real_roots`` takes the other route: the square-free part
-# s = f / gcd(f, f'), then a Sturm count on s.  The gcd and f are both
+# s = f / gcd(f, f'), then a full Sturm count on s.  The gcd and f are both
 # primitive, so by Gauss's lemma s lies in Z[x] and the division runs over
 # the integers; an inexact step raises instead of rounding.
 
@@ -392,10 +400,9 @@ def _sign_variations(signs: list[int]) -> int:
     return count
 
 
-def _sturm_count(cs: list[int]) -> tuple[int, int]:
-    """Distinct real zeros of a nonzero polynomial, by its Sturm chain on
-    (-inf, +inf), and the degree of the chain's last member."""
-    chain = _sturm_chain(cs)
+def _sturm_count(chain: list[list[int]]) -> int:
+    """V(-inf) - V(+inf) of a Sturm chain: the distinct real zeros of its
+    first member."""
     at_plus = []
     at_minus = []
     for p in chain:
@@ -403,26 +410,41 @@ def _sturm_count(cs: list[int]) -> tuple[int, int]:
         sign = (lc > 0) - (lc < 0)
         at_plus.append(sign)
         at_minus.append(sign if (len(p) - 1) % 2 == 0 else -sign)
-    return _sign_variations(at_minus) - _sign_variations(at_plus), len(chain[-1]) - 1
+    return _sign_variations(at_minus) - _sign_variations(at_plus)
 
 
 def count_distinct_real_roots(f: IntPoly) -> int:
     """Number of distinct real zeros: a Sturm count on the square-free part."""
-    return _sturm_count(list(square_free_part(f).coeffs))[0]
+    return _sturm_count(_sturm_chain(list(square_free_part(f).coeffs)))
 
 
 def real_rooted(f: IntPoly) -> bool:
     """True iff every complex zero of f is real.
 
-    One Sturm chain on primitive f counts its distinct real zeros; its last
-    member has the degree of gcd(f, f'), so f is real-rooted exactly when the
-    count equals deg f minus that degree.
+    Walks the Sturm chain of primitive f, sign-normalised, and returns False
+    at the first member that is not one degree below the one before or whose
+    leading coefficient is not positive; a chain that ends without one is
+    real-rooted (see the comment above).
     """
     if f.is_zero():
         raise ValueError("real_rooted is undefined for the zero polynomial")
-    cs = _primitive(list(f.coeffs))
-    count, gcd_degree = _sturm_count(cs)
-    return count == len(cs) - 1 - gcd_degree
+    prev = _primitive(list(f.coeffs))
+    if prev[-1] < 0:
+        prev = [-c for c in prev]
+    d = _derivative(prev)
+    if not d:
+        return True
+    # f' is one degree down with the positive leading coefficient deg f * lc(f)
+    cur = _primitive(d)
+    while len(cur) > 1:
+        r = _pseudo_rem(prev, cur)
+        if not r:
+            break
+        r = _primitive(r)
+        if len(r) != len(cur) - 1 or r[-1] >= 0:
+            return False
+        prev, cur = cur, [-c for c in r]
+    return True
 
 
 # ---------------------------------------------------------------------------

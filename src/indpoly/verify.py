@@ -19,20 +19,22 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, islice
 from typing import Iterator, NamedTuple, Sequence
 
-from .engine import independence_polynomial
+from .engine import independence_polynomial, tree_polynomial
 from .graphs import (
     CapacityError,
     FamilySpec,
     Graph,
     GraphError,
+    _ahu_code,
+    _tree_centers,
     alpha,
     build_family,
     delete_closed_neighborhood,
     delete_vertex,
     is_well_covered,
-    tree_canonical_code,
 )
 from .polynomials import (
     ONE_PLUS_X,
@@ -257,6 +259,15 @@ def rooted_product_factor_inequalities(r) -> tuple[bool, bool]:
 # ---------------------------------------------------------------------------
 
 
+def _pendant_ladders() -> Iterator[IntPoly]:
+    """I(G_0), I(G_1), ... from the recurrence (x+1) I(G_{n-1}) + x I(G_{n-2}),
+    with the bases I(G_{-1}) = 1 and I(G_0) = 1 + x."""
+    prev, cur = IntPoly((1,)), ONE_PLUS_X
+    while True:
+        yield cur
+        prev, cur = cur, ONE_PLUS_X * cur + prev.shift(1)
+
+
 def pendant_ladder_recurrence(n: int) -> IntPoly:
     """I(G_n;x) from the recurrence (x+1) I(G_{n-1}) + x I(G_{n-2}).
 
@@ -264,19 +275,12 @@ def pendant_ladder_recurrence(n: int) -> IntPoly:
     """
     if n < -1:
         raise ValueError("index must be >= -1")
-    prev, cur = IntPoly((1,)), ONE_PLUS_X
-    if n == -1:
-        return prev
-    for _ in range(n):
-        prev, cur = cur, ONE_PLUS_X * cur + prev.shift(1)
-    return cur
+    return IntPoly((1,)) if n == -1 else next(islice(_pendant_ladders(), n, None))
 
 
 def _trig_product_expansion(n: int) -> list[float]:
     """Float expansion of (1+x)^{delta_n} * prod[(1+x)^2 + 4x cos^2(s pi/(n+2))]."""
-    coeffs = [1.0]
-    if n % 2 == 0:
-        coeffs = [1.0, 1.0]
+    coeffs = [1.0, 1.0] if n % 2 == 0 else [1.0]
     for s in range(1, math.ceil(n / 2) + 1):
         c = 4.0 * math.cos(s * math.pi / (n + 2)) ** 2
         factor = [1.0, 2.0 + c, 1.0]
@@ -307,9 +311,7 @@ def pendant_ladder_trig_check(n: int, tol: float) -> bool:
     approx = _trig_product_expansion(n)
     if len(approx) != len(exact):
         return False
-    return all(
-        abs(a - e) <= tol * max(1, abs(e)) for a, e in zip(approx, exact)
-    )
+    return all(abs(a - e) <= tol * max(1, abs(e)) for a, e in zip(approx, exact))
 
 
 def pendant_ladder_family_check(n_max: int) -> list[dict]:
@@ -319,21 +321,13 @@ def pendant_ladder_family_check(n_max: int) -> list[dict]:
     if n_max > FAMILY_CHECK_MAX:
         raise ValueError(f"n_max must be <= {FAMILY_CHECK_MAX}")
     rows = []
-    for n in range(n_max + 1):
-        poly = pendant_ladder_recurrence(n)
+    # one pass of the recurrence yields G_0 .. G_{n_max}
+    for n, poly in zip(range(n_max + 1), _pendant_ladders()):
         sym = is_symmetric(poly)
         rr = real_rooted(poly)
         degree_ok = poly.degree == n + 1
-        rows.append(
-            {
-                "n": n,
-                "symmetric": sym,
-                "real_rooted": rr,
-                "degree": poly.degree,
-                "degree_ok": degree_ok,
-                "ok": sym and rr and degree_ok,
-            }
-        )
+        rows.append({"n": n, "symmetric": sym, "real_rooted": rr, "degree": poly.degree,
+                     "degree_ok": degree_ok, "ok": sym and rr and degree_ok})
     return rows
 
 
@@ -407,19 +401,31 @@ def _free_level_sequences(n: int) -> Iterator[list[int]]:
         levels = _next_rooted(levels)
 
 
-def _level_sequence_tree(levels: Sequence[int]) -> Graph:
-    """The tree of a level sequence: each vertex hangs from the latest
-    vertex one level up."""
-    n = len(levels)
-    adj = [0] * n
-    latest = [0] * n
-    for v in range(1, n):
+def _level_sequence_parents(levels: Sequence[int]) -> list[int]:
+    """The parent array of a level sequence: each vertex hangs from the
+    latest vertex one level up, and the root's parent is -1."""
+    latest = [0] * len(levels)
+    parents = [-1]
+    for v in range(1, len(levels)):
         depth = levels[v]
-        u = latest[depth - 1]
+        parents.append(latest[depth - 1])
+        latest[depth] = v
+    return parents
+
+
+def _parent_rows(parents: list[int]) -> list[int]:
+    """The adjacency rows of the tree of a parent array."""
+    adj = [0] * len(parents)
+    for v in range(1, len(parents)):
+        u = parents[v]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        latest[depth] = v
-    return Graph(n, tuple(adj))
+    return adj
+
+
+def _level_sequence_tree(levels: Sequence[int]) -> Graph:
+    """The tree of a level sequence as a ``Graph``."""
+    return Graph(len(levels), tuple(_parent_rows(_level_sequence_parents(levels))))
 
 
 def free_tree_count(n: int) -> int:
@@ -430,13 +436,16 @@ def free_tree_count(n: int) -> int:
 def _coded_level_sequences(n: int) -> list[tuple[bytes, bytes]]:
     """(canonical code, level sequence as bytes) for every tree on n >= 1
     vertices, sorted by code.  A level sequence takes n bytes where its tree
-    takes an int per vertex, so a whole size fits in memory at once."""
+    takes an int per vertex, so a whole size fits in memory at once.  The
+    generator yields only trees, so the code of ``tree_canonical_code`` is
+    taken on the rows of the parent array, with no ``Graph`` and no check."""
     if n < 1:
         raise ValueError("a tree needs at least 1 vertex")
-    coded = sorted(
-        (tree_canonical_code(_level_sequence_tree(levels)), bytes(levels))
-        for levels in _free_level_sequences(n)
-    )
+    coded = []
+    for levels in _free_level_sequences(n):
+        adj = _parent_rows(_level_sequence_parents(levels))
+        coded.append((min(_ahu_code(adj, c) for c in _tree_centers(adj)), bytes(levels)))
+    coded.sort()
     if len({code for code, _ in coded}) != len(coded):
         raise AssertionError("canonical code collision in tree enumeration")
     return coded
@@ -455,7 +464,7 @@ _SCAN_CHUNK = 32
 
 def _scan_tree(coded: tuple[bytes, bytes]) -> ScanResult:
     code, levels = coded
-    poly = independence_polynomial(_level_sequence_tree(levels))
+    poly = tree_polynomial(_level_sequence_parents(levels))
     return ScanResult(code, len(levels), poly, property_report(poly))
 
 
@@ -469,7 +478,7 @@ def tree_scan(n_min: int, n_max: int, pool=None) -> Iterator[ScanResult]:
     """
     if not (2 <= n_min <= n_max <= TREE_SCAN_MAX):
         raise ValueError(f"bounds must satisfy 2 <= n_min <= n_max <= {TREE_SCAN_MAX}")
-    # each tree is built from its level sequence only when it is solved
+    # a tree's parent array is rebuilt from its level sequence to solve it
     trees = (pair for n in range(n_min, n_max + 1) for pair in _coded_level_sequences(n))
     if pool is None:
         return map(_scan_tree, trees)
@@ -498,13 +507,7 @@ def scan_result_to_json(result: ScanResult) -> str:
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
 def composition_soundness_scan(
@@ -555,12 +558,8 @@ def composition_soundness_scan(
             ok = is_unimodal(lex_poly(i1, i2))[0]
         accepted += 1
         if not ok:
-            failures.append(
-                {
-                    "g1_coeffs": coeffs_as_strings(i1),
-                    "g2_coeffs": coeffs_as_strings(i2),
-                }
-            )
+            failures.append({"g1_coeffs": coeffs_as_strings(i1),
+                             "g2_coeffs": coeffs_as_strings(i2)})
     return {
         "kind": kind,
         "samples": accepted,

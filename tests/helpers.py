@@ -12,7 +12,14 @@ import random
 from itertools import product
 
 from indpoly.graphs import Graph, _bits
-from indpoly.polynomials import count_distinct_real_roots, real_rooted, square_free_part
+from indpoly.polynomials import (
+    _primitive,
+    _sturm_chain,
+    _sturm_count,
+    count_distinct_real_roots,
+    real_rooted,
+    square_free_part,
+)
 
 # Globally interned refinement colors so colors are comparable across graphs.
 _INTERN: dict = {}
@@ -133,9 +140,14 @@ KNOWN_TREE_COUNTS = {
 
 
 def sturm_routes_agree(f) -> bool:
-    """The one-chain verdict of `real_rooted` against the square-free route:
-    f is real-rooted iff its distinct real zeros number deg of f / gcd(f, f')."""
-    return real_rooted(f) == (count_distinct_real_roots(f) == square_free_part(f).degree)
+    """The early-exit verdict of `real_rooted` against two full Sturm counts.
+    On the chain of f itself, f is real-rooted iff the count is deg f minus
+    the degree of the chain's last member, gcd(f, f'); on the square-free
+    route, iff its distinct real zeros number deg of f / gcd(f, f')."""
+    chain = _sturm_chain(_primitive(list(f.coeffs)))
+    full_chain = _sturm_count(chain) == f.degree - (len(chain[-1]) - 1)
+    square_free = count_distinct_real_roots(f) == square_free_part(f).degree
+    return real_rooted(f) == full_chain == square_free
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -396,6 +397,20 @@ def test_scan_trees_deterministic_and_parallel(tmp_path):
     assert p1.returncode == p2.returncode == p3.returncode == 0
     assert p1.stdout == p2.stdout == p3.stdout
     assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
+
+
+# sha256 of `scan trees --nmax 10`: the JSONL file and stdout, recorded
+# before the scan stopped building a Graph per tree
+SCAN10_JSONL_SHA256 = "0531b00aec91cc2b7709fc597429befc8144243d33d38254f45bf24e014af323"
+SCAN10_STDOUT_SHA256 = "bb20554e39619f9c1a9f4aed7b964017c5bf68a90e40d1eaa235f08237ded088"
+
+
+def test_scan_trees_output_is_pinned(tmp_path):
+    out_path = tmp_path / "trees.jsonl"
+    proc = run_cli("scan", "trees", "--nmax", "10", "--out", str(out_path))
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SCAN10_JSONL_SHA256
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == SCAN10_STDOUT_SHA256
 
 
 def test_scan_resume_matches_one_scan(tmp_path):

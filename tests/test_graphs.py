@@ -130,6 +130,33 @@ def test_parse_edge_list_memory_is_bounded_by_n(tmp_path):
     assert peak < 1_000_000
 
 
+def test_parse_edge_list_string_is_read_lazily():
+    # a string is split into lines one at a time, not all at once
+    text = "2 100000\r\n" + "0 1\r\n" * 100_000
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == Graph.from_edges(2, [(0, 1)])
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r"])
+def test_parse_edge_list_string_line_endings(sep):
+    lines = ["# path", "3 2", "", "0 1", "1 2"]
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert parse_edge_list(sep.join(lines)) == path
+    assert parse_edge_list(sep.join(lines) + sep) == path
+    lines[-1] = "1 7"
+    with pytest.raises(GraphParseError, match="line 5: vertex index out of range"):
+        parse_edge_list(sep.join(lines))
+    # mixed separators: "\r\r" leaves a blank line 3
+    with pytest.raises(GraphParseError, match="line 4: more than 1 edge lines"):
+        parse_edge_list("2 1\r\n0 1\r\r0 1\n")
+
+
 def test_edge_list_roundtrip_random():
     rng = random.Random(11)
     for _ in range(1000):
@@ -449,7 +476,7 @@ def test_tree_centers_are_least_eccentric():
             rng.shuffle(perm)
             copy = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in tree.edges()])
             for g in (tree, copy):
-                assert _tree_centers(g) == eccentricity_centers(g)
+                assert _tree_centers(g.adj) == eccentricity_centers(g)
 
 
 def test_labeled_trees_on_five_vertices_give_three_codes():

@@ -254,6 +254,26 @@ def test_real_rooted_repeated_factors_both_routes():
     assert seen == {True, False}
 
 
+def test_real_rooted_early_exit_matches_full_chains():
+    # seeded products of linear and quadratic factors, repeated, times a
+    # constant of either sign: the chain walk that stops at the first member
+    # with a degree drop above 1 or a leading coefficient that is not
+    # positive gives the verdict of the full chain and the square-free route
+    rng = random.Random(20011)
+    verdicts = set()
+    for _ in range(1500):
+        f = poly(rng.choice([-3, -1, 1, 2]))
+        for _ in range(rng.randint(0, 5)):
+            factor = rng.choice([
+                poly(rng.randint(-4, 4), rng.choice([-2, -1, 1, 3])),
+                poly(rng.randint(-4, 4), rng.randint(-4, 4), rng.choice([-2, -1, 1, 2])),
+            ])
+            f = f * factor ** rng.randint(1, 3)
+        assert helpers.sturm_routes_agree(f), f.coeffs
+        verdicts.add((real_rooted(f), f.coeffs[-1] < 0))
+    assert len(verdicts) == 4
+
+
 def test_poly_divmod_exact_integer_long_division():
     assert _poly_divmod_exact([1, 0, -1], [1, 1]) == [1, -1]
     assert _poly_divmod_exact([2, 5, 3], [-1, -1]) == [-2, -3]

@@ -6,14 +6,22 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from indpoly.engine import independence_polynomial
-from indpoly.graphs import CapacityError, FamilySpec, GraphError, build_family
+from indpoly.engine import brute_force_independence_polynomial, independence_polynomial
+from indpoly.graphs import (
+    CapacityError,
+    FamilySpec,
+    GraphError,
+    build_family,
+    tree_canonical_code,
+)
 from indpoly.polynomials import IntPoly, is_log_concave, is_symmetric, real_rooted
 from indpoly.products import rooted_product
 from indpoly.verify import (
     FAMILY_CHECK_MAX,
     TRIG_CHECK_MAX,
     SamplingError,
+    _coded_level_sequences,
+    _level_sequence_tree,
     binomial_basis_unimodality_condition,
     composition_log_concavity_condition,
     composition_soundness_scan,
@@ -234,13 +242,33 @@ def test_distinct_tree_counts():
 
 
 def test_real_rooted_routes_agree_on_ladders_and_trees():
+    # the early exit of real_rooted against the full chains, on every tree
+    # polynomial up to 12 vertices (both verdicts occur) and the ladders
     for n in range(61):
         f = pendant_ladder_recurrence(n)
         assert real_rooted(f)
         assert helpers.sturm_routes_agree(f), n
-    for n in range(1, 11):
+    verdicts = set()
+    for n in range(1, 13):
         for _, tree in distinct_trees(n):
-            assert helpers.sturm_routes_agree(independence_polynomial(tree)), n
+            f = independence_polynomial(tree)
+            assert helpers.sturm_routes_agree(f), n
+            verdicts.add(real_rooted(f))
+    assert verdicts == {True, False}
+
+
+def test_scan_matches_the_graph_routes():
+    # the graph-free scan against a Graph built from each level sequence:
+    # the validated canonical code and the brute-force polynomial
+    for n in range(2, 13):
+        coded = _coded_level_sequences(n)
+        results = list(tree_scan(n, n))
+        assert [r.canonical_code for r in results] == [code for code, _ in coded]
+        for (code, levels), result in zip(coded, results):
+            tree = _level_sequence_tree(levels)
+            assert code == tree_canonical_code(tree)
+            assert result.polynomial == brute_force_independence_polynomial(tree)
+        assert len(results) == helpers.KNOWN_TREE_COUNTS[n]
 
 
 def test_tree_scan_counts_and_violations():
