@@ -9,7 +9,7 @@ comparisons only.  No floating point appears here.
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 
 class IntPoly:
@@ -373,19 +373,22 @@ def square_free_part(f: IntPoly) -> IntPoly:
     return IntPoly(s)
 
 
-def _sturm_chain(cs: list[int]) -> list[list[int]]:
-    """f, f', then negated primitive pseudo-remainders; the last member is
-    gcd(f, f') up to a constant."""
-    chain = [cs]
+def _sturm_chain(cs: list[int]) -> Iterator[list[int]]:
+    """f, f', then negated primitive pseudo-remainders, one member at a
+    time; the last member is gcd(f, f') up to a constant."""
+    prev = cs
+    yield prev
     d = _derivative(cs)
-    if d:
-        chain.append(_primitive(d))
-    while len(chain[-1]) > 1:
-        r = _pseudo_rem(chain[-2], chain[-1])
+    if not d:
+        return
+    cur = _primitive(d)
+    yield cur
+    while len(cur) > 1:
+        r = _pseudo_rem(prev, cur)
         if not r:
-            break
-        chain.append([-c for c in _primitive(r)])
-    return chain
+            return
+        prev, cur = cur, [-c for c in _primitive(r)]
+        yield cur
 
 
 def _sign_variations(signs: list[int]) -> int:
@@ -400,7 +403,7 @@ def _sign_variations(signs: list[int]) -> int:
     return count
 
 
-def _sturm_count(chain: list[list[int]]) -> int:
+def _sturm_count(chain: Iterable[list[int]]) -> int:
     """V(-inf) - V(+inf) of a Sturm chain: the distinct real zeros of its
     first member."""
     at_plus = []
@@ -428,22 +431,14 @@ def real_rooted(f: IntPoly) -> bool:
     """
     if f.is_zero():
         raise ValueError("real_rooted is undefined for the zero polynomial")
-    prev = _primitive(list(f.coeffs))
-    if prev[-1] < 0:
-        prev = [-c for c in prev]
-    d = _derivative(prev)
-    if not d:
-        return True
-    # f' is one degree down with the positive leading coefficient deg f * lc(f)
-    cur = _primitive(d)
-    while len(cur) > 1:
-        r = _pseudo_rem(prev, cur)
-        if not r:
-            break
-        r = _primitive(r)
-        if len(r) != len(cur) - 1 or r[-1] >= 0:
+    cs = _primitive(list(f.coeffs))
+    if cs[-1] < 0:
+        cs = [-c for c in cs]
+    size = len(cs) + 1
+    for member in _sturm_chain(cs):
+        if len(member) != size - 1 or member[-1] < 0:
             return False
-        prev, cur = cur, [-c for c in r]
+        size = len(member)
     return True
 
 

@@ -144,7 +144,7 @@ def sturm_routes_agree(f) -> bool:
     On the chain of f itself, f is real-rooted iff the count is deg f minus
     the degree of the chain's last member, gcd(f, f'); on the square-free
     route, iff its distinct real zeros number deg of f / gcd(f, f')."""
-    chain = _sturm_chain(_primitive(list(f.coeffs)))
+    chain = list(_sturm_chain(_primitive(list(f.coeffs))))
     full_chain = _sturm_count(chain) == f.degree - (len(chain[-1]) - 1)
     square_free = count_distinct_real_roots(f) == square_free_part(f).degree
     return real_rooted(f) == full_chain == square_free
