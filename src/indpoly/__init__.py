@@ -26,7 +26,6 @@ _PUBLIC = {
         "components",
         "delete_closed_neighborhood",
         "delete_vertex",
-        "emit_edge_list",
         "emit_graph6",
         "induced_subgraph",
         "is_claw_free",

@@ -3,7 +3,8 @@ condition suites, and the exhaustive small-tree scan.
 
 All numeric output is emitted as decimal strings inside JSON so arbitrary
 precision survives any consumer.  Exit codes: 0 success, 1 verification
-failure, 2 parse error, 3 capacity exceeded, 4 I/O error.
+failure, 2 parse error, 3 capacity exceeded (more than 64 vertices from a
+family, an edge list, graph6 or a product, refused before any edge), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -429,7 +430,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (GraphParseError, GraphError, ValueError) as exc:
+    except (GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -27,6 +27,12 @@ class CapacityError(GraphError):
     fixed budget."""
 
 
+def _check_cap(n: int, what: str) -> None:
+    """The one 64-vertex cap; ``what`` names the input in the message."""
+    if n > MAX_VERTICES:
+        raise CapacityError(f"{what} has {n} vertices, which exceeds the cap of {MAX_VERTICES}")
+
+
 class Graph(NamedTuple):
     """n vertices 0..n-1; adj[v] is the open neighborhood N(v) as a bitmask."""
 
@@ -37,8 +43,7 @@ class Graph(NamedTuple):
     def from_edges(cls, n: int, edges) -> "Graph":
         if n < 0:
             raise GraphError("negative vertex count")
-        if n > MAX_VERTICES:
-            raise CapacityError(f"{n} vertices exceeds the cap of {MAX_VERTICES}")
+        _check_cap(n, "graph")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -141,10 +146,7 @@ def parse_edge_list(source: str | Iterable[str]) -> Graph:
                 raise GraphParseError(f"line {lineno}: non-integer header") from None
             if n < 0 or m < 0:
                 raise GraphParseError(f"line {lineno}: negative count in header")
-            if n > MAX_VERTICES:
-                raise GraphParseError(
-                    f"line {lineno}: {n} vertices exceeds the cap of {MAX_VERTICES}"
-                )
+            _check_cap(n, f"line {lineno}: edge list")
             adj = [0] * n
             continue
         if seen == m:
@@ -169,53 +171,41 @@ def parse_edge_list(source: str | Iterable[str]) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def emit_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count()}"]
-    lines += [f"{u} {v}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"
-
-
 _G6_HEADER = ">>graph6<<"
-# the longest encoding of a graph within the cap: the 4-character long size
-# form, then one character per 6 bits of the upper triangle
-_G6_MAX_LENGTH = 4 + (MAX_VERTICES * (MAX_VERTICES - 1) // 2 + 5) // 6
 
 
 def parse_graph6(line: str) -> Graph:
-    """Decode one graph6 line (6-bit chunks, column-major upper triangle)."""
+    """Decode one graph6 line (6-bit chunks, column-major upper triangle).
+
+    The size field is read first.  It is checked against the cap, and the
+    exact length it implies against the string, before the body is read."""
     s = line.strip("\r\n\t ")
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
     if not s:
         raise GraphParseError("empty graph6 string")
-    if len(s) > _G6_MAX_LENGTH:
-        raise GraphParseError(
-            f"graph6 string of {len(s)} characters is longer than any graph"
-            f" within the cap of {MAX_VERTICES} vertices ({_G6_MAX_LENGTH})"
-        )
-    data = [ord(ch) - 63 for ch in s]
-    for pos, val in enumerate(data):
-        if not (0 <= val <= 63):
-            raise GraphParseError(f"graph6 byte {pos}: character out of range 63..126")
-    if data[0] < 63:
-        n = data[0]
-        body = data[1:]
+    # the size field: one character, or '~' then three holding 18 bits
+    size = [ord(ch) - 63 for ch in s[:4 if s[0] == "~" else 1]]
+    if not all(0 <= val <= 63 for val in size):
+        raise GraphParseError("graph6 size field: character out of range 63..126")
+    if len(size) == 1:
+        n = size[0]
+    elif len(size) < 4 or size[1] == 63:
+        raise GraphParseError("graph6 size field too large or truncated")
     else:
-        # long form: '~' then 18 bits of size
-        if len(data) < 4 or data[1] == 63:
-            raise GraphParseError("graph6 size field too large or truncated")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
-    if n > MAX_VERTICES:
-        raise GraphParseError(f"graph6 encodes {n} vertices, cap is {MAX_VERTICES}")
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
-    if len(body) < need:
-        raise GraphParseError(f"graph6 body too short: need {need} bytes, got {len(body)}")
-    if len(body) > need:
+        n = (size[1] << 12) | (size[2] << 6) | size[3]
+    _check_cap(n, "graph6 string")
+    need = (n * (n - 1) // 2 + 5) // 6
+    got = len(s) - len(size)
+    if got < need:
+        raise GraphParseError(f"graph6 body too short: need {need} bytes, got {got}")
+    if got > need:
         raise GraphParseError("trailing garbage after graph6 body")
     bits = []
-    for val in body:
+    for pos in range(len(size), len(s)):
+        val = ord(s[pos]) - 63
+        if not (0 <= val <= 63):
+            raise GraphParseError(f"graph6 byte {pos}: character out of range 63..126")
         bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
     edges = []
     k = 0
@@ -366,10 +356,7 @@ def build_family(spec: FamilySpec) -> Graph:
             f" got {len(params)}"
         )
     order = family.order(*params)
-    if order > MAX_VERTICES:
-        raise CapacityError(
-            f"family {kind} has {order} vertices, which exceeds the cap of {MAX_VERTICES}"
-        )
+    _check_cap(order, f"family {kind}")
     return Graph.from_edges(order, family.edges(*params))
 
 

@@ -1,9 +1,9 @@
 """Exact dense polynomial arithmetic over arbitrary-precision integers.
 
-Everything here is exact: coefficients are Python ints, rationals are
-``fractions.Fraction``, and every predicate (unimodality, log-concavity,
-symmetry, Newton's inequalities, real-rootedness) is decided by integer
-comparisons only.  No floating point appears here.
+Everything here is exact: coefficients are Python ints, and every predicate
+(unimodality, log-concavity, symmetry, Newton's inequalities,
+real-rootedness) is decided by integer comparisons only.  No floating point
+or fraction type appears here.
 """
 
 from __future__ import annotations
@@ -130,22 +130,6 @@ class IntPoly:
             result = result * g + c
         return result
 
-    def reversed_coeffs(self) -> "IntPoly":
-        """x**deg * f(1/x): the coefficient list reversed."""
-        return IntPoly(tuple(reversed(self.coeffs)))
-
-    # -- evaluation ---------------------------------------------------------
-
-    def eval_rational(self, q):
-        """Exact value at a rational point, as a ``fractions.Fraction``."""
-        from fractions import Fraction  # this module's only use of it
-
-        q = Fraction(q)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * q + c
-        return acc
-
     # -- plumbing -----------------------------------------------------------
 
     def __eq__(self, other):
@@ -171,10 +155,6 @@ ONE_PLUS_X = IntPoly((1, 1))
 def coeffs_as_strings(f: IntPoly) -> list[str]:
     """Decimal-string coefficient list, the JSON wire form for big integers."""
     return [str(c) for c in f.coeffs]
-
-
-def poly_from_strings(strings) -> IntPoly:
-    return IntPoly(int(s) for s in strings)
 
 
 def shift_basis(d) -> IntPoly:
@@ -464,16 +444,7 @@ class PropertyReport(NamedTuple):
     first_violation: dict[str, int]
 
     def to_json_dict(self) -> dict:
-        return {
-            "unimodal": self.unimodal,
-            "log_concave": self.log_concave,
-            "strictly_log_concave": self.strictly_log_concave,
-            "symmetric": self.symmetric,
-            "real_rooted": self.real_rooted,
-            "newton_ok": self.newton_ok,
-            "mode_index": self.mode_index,
-            "first_violation": dict(self.first_violation),
-        }
+        return {**self._asdict(), "first_violation": dict(self.first_violation)}
 
 
 def property_report(f: IntPoly) -> PropertyReport:

@@ -8,31 +8,25 @@ from __future__ import annotations
 
 from .engine import independence_polynomial
 from .graphs import (
-    MAX_VERTICES,
-    CapacityError,
     Graph,
     GraphError,
     _bits,
+    _check_cap,
     delete_closed_neighborhood,
     delete_vertex,
 )
 from .polynomials import ONE, ONE_PLUS_X, IntPoly
 
 
-def _check_capacity(total: int) -> None:
-    if total > MAX_VERTICES:
-        raise CapacityError(f"product on {total} vertices exceeds the cap of {MAX_VERTICES}")
-
-
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    _check_capacity(g1.n + g2.n)
+    _check_cap(g1.n + g2.n, "product")
     adj = list(g1.adj) + [row << g1.n for row in g2.adj]
     return Graph(g1.n + g2.n, tuple(adj))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus all cross edges."""
-    _check_capacity(g1.n + g2.n)
+    _check_cap(g1.n + g2.n, "product")
     left = ((1 << g1.n) - 1)
     right = ((1 << g2.n) - 1) << g1.n
     adj = [row | right for row in g1.adj]
@@ -47,7 +41,7 @@ def lexicographic(g1: Graph, g2: Graph) -> Graph:
     (a,x) gets index a*|V(g2)| + x.
     """
     n1, n2 = g1.n, g2.n
-    _check_capacity(n1 * n2)
+    _check_cap(n1 * n2, "product")
     block = (1 << n2) - 1
     adj = []
     for a in range(n1):
@@ -67,7 +61,7 @@ def rooted_product(g: Graph, h: Graph, root: int) -> Graph:
     """
     if not (0 <= root < h.n):
         raise GraphError(f"root {root} out of range for |V(h)|={h.n}")
-    _check_capacity(g.n * h.n)
+    _check_cap(g.n * h.n, "product")
     nh = h.n
     edges = []
     for i in range(g.n):

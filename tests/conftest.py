@@ -10,12 +10,3 @@ def small_graph_corpus():
     for n, count in corpus.items():
         assert len(count) == helpers.KNOWN_GRAPH_COUNTS[n]
     return corpus
-
-
-@pytest.fixture(scope="session")
-def full_graph_corpus():
-    """All graphs up to isomorphism on 1..8 vertices (used by acceptance)."""
-    corpus = helpers.graph_corpus(8)
-    for n in corpus:
-        assert len(corpus[n]) == helpers.KNOWN_GRAPH_COUNTS[n]
-    return corpus

@@ -10,7 +10,7 @@ import pytest
 
 from indpoly import cli
 from indpoly.cli import load_graph_source, parse_family_token
-from indpoly.graphs import FAMILIES, CapacityError, Graph
+from indpoly.graphs import FAMILIES, CapacityError, Graph, emit_graph6
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -180,6 +180,31 @@ def test_every_family_name_parses_to_its_kind():
             for spelled in (name, name.upper()):
                 assert parse_family_token(spelled).kind == kind, spelled
             assert f"`{name}`" in readme, f"README does not name {name}"
+
+
+def _cap_argv(source, n, tmp_path):
+    """argv for an input of n vertices given through the named source."""
+    if source == "family":
+        return ["poly", "--family", f"path:{n}"]
+    if source == "file":
+        path = tmp_path / "path.txt"
+        path.write_text(f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1)))
+        return ["poly", "--file", str(path)]
+    if source == "g6":
+        return ["poly", "--g6", emit_graph6(Graph(n, (0,) * n))]
+    g1, g2 = {64: ("path:8", "complete:8"), 65: ("path:13", "complete:5")}[n]
+    return ["product", "lex", "--g1", f"family:{g1}", "--g2", f"family:{g2}"]
+
+
+@pytest.mark.parametrize("source", ["family", "file", "g6", "product"])
+def test_vertex_cap_is_one_contract(source, tmp_path):
+    # whatever the input format, 64 vertices run and 65 exit 3 with no output
+    proc = run_cli(*_cap_argv(source, 64, tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli(*_cap_argv(source, 65, tmp_path))
+    assert proc.returncode == 3, proc.stderr
+    assert "has 65 vertices, which exceeds the cap of 64" in proc.stderr
+    assert proc.stdout == ""
 
 
 # ---------------------------------------------------------------------------

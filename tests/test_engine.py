@@ -141,7 +141,7 @@ def test_value_at_one_counts_independent_sets():
                     ok = False
                     break
             total += ok
-        assert independence_polynomial(g).eval_rational(1) == total
+        assert sum(independence_polynomial(g).coeffs) == total
 
 
 def test_deletion_recursion_identity():

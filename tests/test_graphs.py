@@ -21,7 +21,6 @@ from indpoly.graphs import (
     components,
     delete_closed_neighborhood,
     delete_vertex,
-    emit_edge_list,
     emit_graph6,
     induced_subgraph,
     is_claw_free,
@@ -101,7 +100,9 @@ def test_parse_edge_list_comments_and_duplicates():
     ],
 )
 def test_parse_edge_list_errors(text, fragment):
-    with pytest.raises(GraphParseError, match=fragment):
+    # a well-formed header over the cap is a capacity error, not a parse error
+    error = CapacityError if fragment == "exceeds" else GraphParseError
+    with pytest.raises(error, match=fragment):
         parse_edge_list(text)
 
 
@@ -111,6 +112,15 @@ def test_parse_edge_list_streams_lines():
         raise AssertionError("line 4 pulled")
 
     with pytest.raises(GraphParseError, match="line 3: more than 1 edge lines"):
+        parse_edge_list(lines())
+
+
+def test_parse_edge_list_refuses_over_cap_at_the_header():
+    def lines():
+        yield from ("# 65 vertices", "65 1")
+        raise AssertionError("line after the header pulled")
+
+    with pytest.raises(CapacityError, match="line 2: .*exceeds the cap of 64"):
         parse_edge_list(lines())
 
 
@@ -161,7 +171,8 @@ def test_edge_list_roundtrip_random():
     rng = random.Random(11)
     for _ in range(1000):
         g = helpers.random_graph(rng, rng.randint(0, 20), rng.random())
-        assert parse_edge_list(emit_edge_list(g)) == g
+        text = f"{g.n} {g.edge_count()}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+        assert parse_edge_list(text) == g
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +205,7 @@ def test_graph6_header_accepted():
         ("A" + chr(30), "out of range"),
         ("~~~AAAA", "too large"),
         # one character past the 340 of a 64-vertex graph (long size form)
-        ("~?@?" + "?" * 337, "longer than any graph"),
+        ("~?@?" + "?" * 337, "trailing"),
     ],
 )
 def test_parse_graph6_errors(line, fragment):
@@ -203,8 +214,28 @@ def test_parse_graph6_errors(line, fragment):
 
 
 def test_graph6_size_cap():
-    with pytest.raises(GraphParseError, match="cap"):
+    with pytest.raises(CapacityError, match="exceeds the cap of 64"):
         parse_graph6("~?@}")  # long-form size field encoding 126 vertices
+
+
+@pytest.mark.parametrize(
+    "size, error, fragment",
+    [
+        ("~?@?", GraphParseError, "trailing"),  # 64 vertices
+        ("~?@@", CapacityError, "exceeds the cap of 64"),  # 65 vertices
+    ],
+)
+def test_graph6_long_string_refused_before_its_body_is_read(size, error, fragment):
+    # the size field fixes the exact length, so a long string costs nothing
+    line = size + "?" * 10**6
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=fragment):
+            parse_graph6(line)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_graph6_roundtrip_random():

@@ -1,6 +1,5 @@
 import pickle
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,14 +12,12 @@ from indpoly.polynomials import (
     ONE_PLUS_X,
     X,
     IntPoly,
-    coeffs_as_strings,
     count_distinct_real_roots,
     is_log_concave,
     is_symmetric,
     is_unimodal,
     _poly_divmod_exact,
     newton_check,
-    poly_from_strings,
     property_report,
     real_rooted,
     shift_basis,
@@ -91,11 +88,6 @@ def test_compose_associative(a, b, c):
 def test_add_sub_roundtrip(a, b):
     f, g = IntPoly(a), IntPoly(b)
     assert (f + g) - g == f
-
-
-def test_string_serialization_roundtrip():
-    f = poly(1, 10 ** 40, -3)
-    assert poly_from_strings(coeffs_as_strings(f)) == f
 
 
 def test_pickle_roundtrip():
@@ -307,17 +299,6 @@ def test_real_rooted_agrees_with_float_companion():
             f = f * poly(rng.randint(1, 9), rng.randint(1, 9))
         assert not real_rooted(f)
         assert not _float_real_rooted(f), f.coeffs
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-# ---------------------------------------------------------------------------
-
-
-def test_eval_rational():
-    assert poly(1, 3, 1).eval_rational(-1) == -1
-    assert poly(1, 49, 48, 64).eval_rational(0) == 1
-    assert ONE_PLUS_X.eval_rational(Fraction(1, 2)) == Fraction(3, 2)
 
 
 # ---------------------------------------------------------------------------

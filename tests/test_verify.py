@@ -204,7 +204,7 @@ def test_family_check_rows():
 def test_symmetry_functional_form():
     for n in range(0, 15):
         p = pendant_ladder_recurrence(n)
-        assert p.reversed_coeffs() == p
+        assert p.coeffs[::-1] == p.coeffs
         assert is_symmetric(p)
 
 
