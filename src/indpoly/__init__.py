@@ -11,7 +11,6 @@ import importlib
 _PUBLIC = {
     "engine": (
         "brute_force_independence_polynomial",
-        "coefficient",
         "frontier_independence_polynomial",
         "independence_polynomial",
     ),

@@ -69,7 +69,8 @@ def parse_family_token(token: str) -> FamilySpec:
             if len(params) + count > MAX_VERTICES:
                 # no family takes more: a multipartite part has a vertex
                 raise CapacityError(
-                    f"family {name} repeats a parameter past {MAX_VERTICES} parameters"
+                    f"family {name} has {len(params) + count} parameters,"
+                    f" which exceeds the cap of {MAX_VERTICES}"
                 )
             params.extend([value] * count)
     return FamilySpec(kind, tuple(params))
@@ -101,13 +102,7 @@ def _emit(obj) -> None:
 
 
 def cmd_poly(args) -> int:
-    if args.file is not None:
-        g = load_graph_source(f"file:{args.file}")
-    elif args.g6 is not None:
-        g = parse_graph6(args.g6)
-    else:
-        g = build_family(parse_family_token(args.family))
-    poly = independence_polynomial(g)
+    poly = independence_polynomial(load_graph_source(args.source))
     _emit(
         {
             "coeffs": coeffs_as_strings(poly),
@@ -380,13 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_poly = sub.add_parser("poly", help="independence polynomial of one graph")
+    # each flag stores its value as the `load_graph_source` source it names
     src = p_poly.add_mutually_exclusive_group(required=True)
-    src.add_argument("--file", help="edge-list file: 'n m' header then 'u v' lines")
-    src.add_argument("--g6", help="graph6 string")
-    src.add_argument(
-        "--family",
-        help="family spec name:args, x repeats (path:4, gn:3, multipartite:1x26,8, T)",
-    )
+    for scheme, help_text in (
+        ("file", "edge-list file: 'n m' header then 'u v' lines"),
+        ("g6", "graph6 string"),
+        ("family", "family spec name:args, x repeats (path:4, gn:3, multipartite:1x26,8, T)"),
+    ):
+        src.add_argument(f"--{scheme}", dest="source", metavar=scheme.upper(),
+                         type=f"{scheme}:".__add__, help=help_text)
     p_poly.set_defaults(func=cmd_poly)
 
     p_prod = sub.add_parser("product", help="graph product vs formula identity")

@@ -4,10 +4,12 @@ Three routes exist on purpose.  ``independence_polynomial`` is the fast path:
 the classic vertex recursion I(G) = I(G-v) + x*I(G-N[v]) over induced-subgraph
 masks, with connected components multiplied separately, edgeless remainders
 short-circuited to (1+x)^k, and results memoized by mask; a component that
-is a tree is solved by the rooted-tree DP ``tree_dp`` in one pass, and one
-whose frontier is narrow is handed to the frontier DP below.  The tree DP's
-fold also runs on its own, on a parent array, as ``tree_polynomial``: the
-tree scan solves its trees that way, with no ``Graph``.
+is a tree is solved in one pass by ``tree_dp``, and one whose frontier is
+narrow is handed to the frontier DP below.  ``tree_dp`` folds, with
+``tree_fold``, the parent array that ``graphs._tree_parents`` walks from
+the tree, the same walk the canonical tree code takes.  The fold also runs
+on its own, on a parent array, as ``tree_polynomial``: the tree scan solves
+its trees that way, with no ``Graph``.
 ``frontier_independence_polynomial`` runs the frontier DP alone, with no
 branching, so the two mechanisms check each other on graphs of any size.
 ``brute_force_independence_polynomial`` enumerates every independent set with
@@ -49,9 +51,7 @@ lowest such vertex found by the same pass that summed the degrees.
 
 from __future__ import annotations
 
-from math import comb
-
-from .graphs import Graph, GraphError, _bits, _degree_scan, mask_components
+from .graphs import Graph, GraphError, _bits, _degree_scan, _tree_parents, mask_components
 from .polynomials import IntPoly
 
 BRUTE_FORCE_CAP = 24
@@ -206,24 +206,10 @@ def frontier_order(adj, mask: int, budget: int | None = None
 
 
 def tree_dp(adj, mask: int, width: int) -> int:
-    """Packed I of the induced subgraph on ``mask``, which must be a tree.
-
-    A breadth-first search from its lowest vertex lists the vertices with
-    each one's parent before it, and ``tree_fold`` folds that list.
-    """
-    root = (mask & -mask).bit_length() - 1
-    order = [root]
-    parents = [-1]
-    seen = 1 << root
-    for i, v in enumerate(order):
-        rest = adj[v] & mask & ~seen
-        seen |= rest
-        while rest:
-            low = rest & -rest
-            order.append(low.bit_length() - 1)
-            parents.append(i)
-            rest ^= low
-    return tree_fold(parents, width)
+    """Packed I of the induced subgraph on ``mask``, which must be a tree:
+    ``tree_fold`` of its parent array from ``_tree_parents``, rooted at its
+    lowest vertex."""
+    return tree_fold(_tree_parents(adj, mask, (mask & -mask).bit_length() - 1), width)
 
 
 def tree_fold(parents, width: int) -> int:
@@ -320,19 +306,3 @@ def brute_force_independence_polynomial(g: Graph) -> IntPoly:
 
     extend(g.full_mask, 0)
     return IntPoly(counts)
-
-
-def coefficient(g: Graph, k: int) -> int:
-    """Number of independent sets of size k (0 beyond alpha).
-
-    The k=1 and k=2 values are cross-checked against their closed forms
-    |V| and C(|V|,2) - |E|.
-    """
-    if k < 0:
-        raise ValueError("negative cardinality")
-    value = independence_polynomial(g).coefficient(k)
-    if k == 1 and value != g.n:
-        raise AssertionError("i_1 disagrees with the vertex count")
-    if k == 2 and value != comb(g.n, 2) - g.edge_count():
-        raise AssertionError("i_2 disagrees with C(n,2) - m")
-    return value

@@ -309,41 +309,19 @@ FAMILIES = {
 }
 
 
-class FamilySpec:
+class FamilySpec(NamedTuple("FamilySpec", [("kind", str), ("params", tuple)])):
     """Symbolic description of a named graph family instance: an immutable,
     hashable value, checked against FAMILIES when it is made."""
 
-    __slots__ = ("kind", "params")
+    __slots__ = ()
 
-    def __init__(self, kind: str, params: Iterable[int] = ()):
+    def __new__(cls, kind: str, params: Iterable[int] = ()):
         if kind not in FAMILIES:
             raise GraphError(f"unknown family kind {kind!r}")
         params = tuple(int(p) for p in params)
         if any(p < 0 for p in params):
             raise GraphError("family parameters must be nonnegative")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of FamilySpec")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of FamilySpec")
-
-    def __eq__(self, other):
-        if other.__class__ is not FamilySpec:
-            return NotImplemented
-        return self.kind == other.kind and self.params == other.params
-
-    def __hash__(self):
-        return hash((self.kind, self.params))
-
-    def __repr__(self):
-        return f"FamilySpec(kind={self.kind!r}, params={self.params!r})"
-
-    def __reduce__(self):
-        # unpickling through __init__, since __setattr__ refuses
-        return FamilySpec, (self.kind, self.params)
+        return super().__new__(cls, kind, params)
 
 
 def build_family(spec: FamilySpec) -> Graph:
@@ -538,31 +516,42 @@ def _tree_centers(adj) -> list[int]:
     return list(_bits(alive))
 
 
-def _ahu_code(adj, root: int) -> bytes:
-    # on the adjacency rows of a tree: breadth-first from the root, recording
-    # parents; then, deepest first, each vertex joins its sorted child codes
-    # and hands the result up
-    n = len(adj)
-    parent = [-1] * n
+def _tree_parents(adj, mask: int, root: int) -> list[int]:
+    """The parent array of the tree induced on ``mask``, by a breadth-first
+    search from ``root``: the i-th vertex visited hangs from the
+    parents[i]-th, which came before it, and the root comes first with
+    parent -1."""
     order = [root]
+    parents = [-1]
     seen = 1 << root
-    for v in order:
-        rest = adj[v] & ~seen
+    for i, v in enumerate(order):
+        rest = adj[v] & mask & ~seen
         seen |= rest
         while rest:
             low = rest & -rest
-            w = low.bit_length() - 1
-            parent[w] = v
-            order.append(w)
+            order.append(low.bit_length() - 1)
+            parents.append(i)
             rest ^= low
-    kids: list[list[bytes]] = [[] for _ in range(n)]
-    for v in reversed(order):
-        codes = kids[v]
+    return parents
+
+
+def _ahu_code(parents) -> bytes:
+    # the rooted code of a parent array: from the last vertex up to the
+    # root, each one joins its sorted child codes and hands the result up
+    kids: list[list[bytes]] = [[] for _ in parents]
+    for i in range(len(parents) - 1, -1, -1):
+        codes = kids[i]
         codes.sort()
         code = b"(" + b"".join(codes) + b")"
-        if v == root:
-            return code
-        kids[parent[v]].append(code)
+        if i:
+            kids[parents[i]].append(code)
+    return code
+
+
+def _tree_code(adj) -> bytes:
+    # on the adjacency rows of a tree: the smaller rooted code over its centres
+    full = (1 << len(adj)) - 1
+    return min(_ahu_code(_tree_parents(adj, full, c)) for c in _tree_centers(adj))
 
 
 def tree_canonical_code(g: Graph) -> bytes:
@@ -574,7 +563,7 @@ def tree_canonical_code(g: Graph) -> bytes:
     """
     if g.n == 0 or g.edge_count() != g.n - 1 or len(components(g)) != 1:
         raise GraphError("input is not a tree")
-    return min(_ahu_code(g.adj, c) for c in _tree_centers(g.adj))
+    return _tree_code(g.adj)
 
 
 def prufer_decode(seq, n: int) -> Graph:

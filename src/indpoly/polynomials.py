@@ -165,10 +165,7 @@ def shift_basis(d) -> IntPoly:
     ds = list(d)
     if any(c < 0 for c in ds):
         raise ValueError("shift_basis expects nonnegative coefficients")
-    result = IntPoly()
-    for c in reversed(ds):
-        result = result * ONE_PLUS_X + c
-    return result
+    return IntPoly(ds).compose(ONE_PLUS_X)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,7 @@ from .graphs import (
     FamilySpec,
     Graph,
     GraphError,
-    _ahu_code,
-    _tree_centers,
+    _tree_code,
     alpha,
     build_family,
     delete_closed_neighborhood,
@@ -437,14 +436,14 @@ def _coded_level_sequences(n: int) -> list[tuple[bytes, bytes]]:
     """(canonical code, level sequence as bytes) for every tree on n >= 1
     vertices, sorted by code.  A level sequence takes n bytes where its tree
     takes an int per vertex, so a whole size fits in memory at once.  The
-    generator yields only trees, so the code of ``tree_canonical_code`` is
-    taken on the rows of the parent array, with no ``Graph`` and no check."""
+    generator yields only trees, so ``_tree_code``, the code that
+    ``tree_canonical_code`` returns after its checks, is taken on the rows of
+    the parent array, with no ``Graph`` and no check."""
     if n < 1:
         raise ValueError("a tree needs at least 1 vertex")
     coded = []
     for levels in _free_level_sequences(n):
-        adj = _parent_rows(_level_sequence_parents(levels))
-        coded.append((min(_ahu_code(adj, c) for c in _tree_centers(adj)), bytes(levels)))
+        coded.append((_tree_code(_parent_rows(_level_sequence_parents(levels))), bytes(levels)))
     coded.sort()
     if len({code for code, _ in coded}) != len(coded):
         raise AssertionError("canonical code collision in tree enumeration")

@@ -207,6 +207,16 @@ def test_vertex_cap_is_one_contract(source, tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("params", ["1x65", "0x65"])
+def test_family_parameter_count_cap_exits_3(params):
+    # 65 parts are refused before the list of them is built; 0x65 has no
+    # valid part, so the message names the parameter count, not a vertex count
+    proc = run_cli("poly", "--family", f"multipartite:{params}")
+    assert proc.returncode == 3, proc.stderr
+    assert "has 65 parameters, which exceeds the cap of 64" in proc.stderr
+    assert proc.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # product
 # ---------------------------------------------------------------------------

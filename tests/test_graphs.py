@@ -474,6 +474,26 @@ def test_tree_code_isomorphism_invariance():
     assert tree_canonical_code(star) != tree_canonical_code(p4)
 
 
+def test_tree_code_survives_relabelling_up_to_64_vertices():
+    # seeded random Pruefer trees past the exhaustive sizes, unicentral and
+    # bicentral: the code survives relabelling and has 2 bytes per vertex
+    from indpoly.graphs import _tree_centers
+
+    rng = random.Random(2064)
+    center_counts = set()
+    for n in range(20, 65):
+        tree = prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+        center_counts.add(len(_tree_centers(tree.adj)))
+        code = tree_canonical_code(tree)
+        assert len(code) == 2 * n
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            copy = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in tree.edges()])
+            assert tree_canonical_code(copy) == code
+    assert center_counts == {1, 2}
+
+
 def test_tree_code_rejects_non_trees():
     with pytest.raises(GraphError):
         tree_canonical_code(build_family(FamilySpec("cycle", (4,))))
