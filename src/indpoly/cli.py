@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -119,27 +118,35 @@ def cmd_poly(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _rooted(prod, g1: Graph, g2: Graph, i1, i2, root):
+def _rooted(prod, g1: Graph, g2: Graph, root):
     if root is None:
         raise GraphParseError("rooted product requires --root")
     return (
         prod.rooted_product(g1, g2, root),
-        prod.rooted_product_poly(i1, *prod.rooted_factors(g2, root), g1.n),
+        prod.rooted_product_poly(
+            independence_polynomial(g1), *prod.rooted_factors(g2, root), g1.n
+        ),
     )
 
 
-# kind -> (the products module, g1, g2, I(g1), I(g2), root) -> (product graph,
-# its polynomial by formula).  Each entry looks its functions up on the module
-# at call time, so a rebinding of the module's names (perfbench/trace_run.py)
-# reaches them.
+# kind -> (the products module, g1, g2, root) -> (product graph, its polynomial
+# by formula).  The graph comes first, so a product over the vertex cap is
+# refused before any operand is solved.  Each entry looks its functions up on
+# the module at call time, so a rebinding of the module's names
+# (perfbench/trace_run.py) reaches them.
 PRODUCTS = {
-    "lex": lambda prod, g1, g2, i1, i2, root: (
-        prod.lexicographic(g1, g2), prod.lex_poly(i1, i2)
+    "lex": lambda prod, g1, g2, root: (
+        prod.lexicographic(g1, g2),
+        prod.lex_poly(independence_polynomial(g1), independence_polynomial(g2)),
     ),
     "rooted": _rooted,
-    "join": lambda prod, g1, g2, i1, i2, root: (prod.join(g1, g2), prod.join_poly(i1, i2)),
-    "union": lambda prod, g1, g2, i1, i2, root: (
-        prod.disjoint_union(g1, g2), prod.union_poly(i1, i2)
+    "join": lambda prod, g1, g2, root: (
+        prod.join(g1, g2),
+        prod.join_poly(independence_polynomial(g1), independence_polynomial(g2)),
+    ),
+    "union": lambda prod, g1, g2, root: (
+        prod.disjoint_union(g1, g2),
+        prod.union_poly(independence_polynomial(g1), independence_polynomial(g2)),
     ),
 }
 
@@ -147,11 +154,9 @@ PRODUCTS = {
 def cmd_product(args) -> int:
     from . import products
 
-    g1 = load_graph_source(args.g1)
-    g2 = load_graph_source(args.g2)
-    i1 = independence_polynomial(g1)
-    i2 = independence_polynomial(g2)
-    product, formula = PRODUCTS[args.kind](products, g1, g2, i1, i2, args.root)
+    product, formula = PRODUCTS[args.kind](
+        products, load_graph_source(args.g1), load_graph_source(args.g2), args.root
+    )
     graph_level = independence_polynomial(product)
     _emit(
         {
@@ -214,13 +219,7 @@ def _thm52(ver, args):
 
 
 def _gn(ver, args):
-    if args.nmax < 0:
-        raise ValueError("n_max must be >= 0")
-    rows = []
-    for n in range(args.nmax + 1):
-        expected = ver.pendant_ladder_recurrence(n)
-        actual = independence_polynomial(build_family(FamilySpec("pendant_ladder_g", (n,))))
-        rows.append({"n": n, "match": expected == actual})
+    rows = ver.pendant_ladder_graph_check(args.nmax)
     return all(row["match"] for row in rows), {"results": rows}
 
 
@@ -251,25 +250,17 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@contextlib.contextmanager
 def _scan_pool(jobs: int):
-    """A spawn-context worker pool of min(jobs, CPU count) processes, or None
-    when that leaves one; multiprocessing is imported only here."""
+    """A context manager that gives a spawn-context worker pool of
+    min(jobs, CPU count) processes, or None when that leaves one.  The pool
+    is its own context manager: leaving it terminates the workers and waits
+    for them.  multiprocessing is imported only here."""
     workers = min(jobs, os.cpu_count() or 1)
     if workers <= 1:
-        yield None
-        return
+        return contextlib.nullcontext()
     import multiprocessing
 
-    pool = multiprocessing.get_context("spawn").Pool(workers)
-    try:
-        yield pool
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.close()
-        pool.join()
+    return multiprocessing.get_context("spawn").Pool(workers)
 
 
 def _resume_offset(path: str, nmin: int) -> int:
@@ -310,8 +301,6 @@ def _resume_offset(path: str, nmin: int) -> int:
 def cmd_scan(args) -> int:
     from . import verify as ver
 
-    if args.what != "trees":
-        raise GraphParseError("only 'scan trees' is supported")
     if not (2 <= args.nmin <= args.nmax <= ver.TREE_SCAN_MAX):
         raise GraphParseError(
             f"bounds must satisfy 2 <= nmin <= nmax <= {ver.TREE_SCAN_MAX}"
@@ -322,10 +311,9 @@ def cmd_scan(args) -> int:
         os.truncate(args.out, _resume_offset(args.out, args.nmin))
     with open(args.out, "w" if args.nmin == 2 else "a", encoding="utf-8") as handle, \
             _scan_pool(args.jobs) as pool:
-        results = ver.tree_scan(args.nmin, args.nmax, pool)
-        for n, group in itertools.groupby(results, key=lambda result: result.n):
+        for n in range(args.nmin, args.nmax + 1):
             count = violations = 0
-            for result in group:
+            for result in ver.tree_scan(n, n, pool):
                 handle.write(ver.scan_result_to_json(result) + "\n")
                 count += 1
                 violations += not result.report.unimodal

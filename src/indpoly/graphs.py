@@ -8,8 +8,9 @@ value objects; all operations are pure functions.
 from __future__ import annotations
 
 import heapq
+import re
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 MAX_VERTICES = 64
 
@@ -97,26 +98,10 @@ def _check_vertex(g: Graph, v: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _text_lines(text: str) -> Iterator[str]:
-    r"""The lines of a string one at a time, split at "\n", "\r\n" or "\r"
-    as a file opened in text mode splits them.  The next position of each
-    separator is looked up only once the scan has passed the previous one,
-    so the whole string is searched once."""
-    end = len(text)
-    pos = 0
-    nl = cr = -1
-    while pos < end:
-        if nl < pos:
-            nl = text.find("\n", pos)
-            if nl < 0:
-                nl = end
-        if cr < pos:
-            cr = text.find("\r", pos)
-            if cr < 0:
-                cr = end
-        stop = min(nl, cr)
-        yield text[pos:stop]
-        pos = stop + 2 if stop == cr and nl == cr + 1 else stop + 1
+# one line of a string and the "\n", "\r\n" or "\r" that ends it, split as a
+# file opened in text mode splits it; the end of the string ends the last line
+# and then matches once more, as an empty line
+_LINE = re.compile(r"([^\r\n]*)(?:\r\n|[\r\n]|\Z)")
 
 
 def parse_edge_list(source: str | Iterable[str]) -> Graph:
@@ -126,13 +111,15 @@ def parse_edge_list(source: str | Iterable[str]) -> Graph:
     Blank lines and lines starting with '#' are ignored.  Duplicate edges are
     permitted; every diagnostic names its 1-based line number.  Each edge is
     folded into the adjacency rows as it is read, and a string is split into
-    lines lazily, so the input is held in memory proportional to n, whatever
-    its length.
+    lines lazily by `_LINE`, at "\n", "\r\n" or "\r" as text mode splits
+    them, so the input is held in memory proportional to n, whatever its
+    length.
     """
     adj: list[int] | None = None  # None until the header is read
     n = m = seen = 0
-    lines = _text_lines(source) if isinstance(source, str) else source
-    for lineno, raw in enumerate(lines, start=1):
+    if isinstance(source, str):
+        source = (match[1] for match in _LINE.finditer(source))
+    for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

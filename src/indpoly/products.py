@@ -106,26 +106,24 @@ def rooted_product_poly(ig: IntPoly, ihv: IntPoly, ihnv: IntPoly, n: int) -> Int
 
     With ig = sum a_k x^k of degree alpha <= n, returns
     sum a_k * x^k * ihnv^k * ihv^(n-k); the rational substitution always
-    cancels, so no fraction type is needed.
+    cancels, so no fraction type is needed.  The sum is
+    ihv^(n-alpha) * sum a_k (x ihnv)^k ihv^(alpha-k), taken by Horner's
+    scheme in x * ihnv as `IntPoly.compose` takes it, each a_k scaled by a
+    running power of ihv.
     """
     alpha = ig.degree
     if alpha > n:
         raise ValueError(f"degree {alpha} exceeds the copy count {n}")
     _require_constant_one(ihv, "I(h - root)")
     _require_constant_one(ihnv, "I(h - N[root])")
+    x_ihnv = ihnv.shift(1)
     result = IntPoly()
-    # nv_pow tracks ihnv^k while ihv^(n-k) is looked up from a prefix table
-    nv_pow = ONE
-    hv_table = [ONE]
-    for _ in range(n):
-        hv_table.append(hv_table[-1] * ihv)
-    for k in range(alpha + 1):
-        a = ig.coefficient(k)
-        if a:
-            result = result + (nv_pow * hv_table[n - k]).shift(k) * a
-        if k < alpha:
-            nv_pow = nv_pow * ihnv
-    return result
+    power = ONE  # ihv^(alpha - k) when a_k is added
+    for k in range(alpha, -1, -1):
+        result = result * x_ihnv + power * ig.coefficient(k)
+        if k:
+            power = power * ihv
+    return result * ihv ** (n - alpha)
 
 
 def rooted_factors(h: Graph, root: int) -> tuple[IntPoly, IntPoly]:

@@ -330,6 +330,19 @@ def pendant_ladder_family_check(n_max: int) -> list[dict]:
     return rows
 
 
+def pendant_ladder_graph_check(n_max: int) -> list[dict]:
+    """I(G_n) from the recurrence against the engine on the graph G_n, for
+    every 0 <= n <= n_max.  Every G_n is built, and so checked against the
+    vertex cap, before any is solved."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    graphs = [build_family(FamilySpec("pendant_ladder_g", (n,))) for n in range(n_max + 1)]
+    return [
+        {"n": n, "match": poly == independence_polynomial(g)}
+        for n, (g, poly) in enumerate(zip(graphs, _pendant_ladders()))
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Tree scan
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ backtracking isomorphism test, so it never needs canonical labeling.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import product
 
 from indpoly.graphs import Graph, _bits
@@ -40,11 +41,12 @@ def wl_colors(g: Graph) -> tuple[int, ...]:
     cached = _COLOR_CACHE.get(g)
     if cached is not None:
         return cached
-    colors = [_intern(("deg", g.adj[v].bit_count())) for v in range(g.n)]
+    neighbors = [list(_bits(row)) for row in g.adj]
+    colors = [_intern(("deg", len(ns))) for ns in neighbors]
     for _ in range(_WL_ROUNDS):
         colors = [
-            _intern((colors[v], tuple(sorted(colors[w] for w in _bits(g.adj[v])))))
-            for v in range(g.n)
+            _intern((color, tuple(sorted([colors[w] for w in ns]))))
+            for color, ns in zip(colors, neighbors)
         ]
     result = tuple(colors)
     _COLOR_CACHE[g] = result
@@ -60,9 +62,8 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
         return False
     n = g1.n
     # map rare colors first, high degree breaking ties
-    order = sorted(
-        range(n), key=lambda v: (sorted(c1).count(c1[v]), -g1.degree(v), v)
-    )
+    frequency = Counter(c1)
+    order = sorted(range(n), key=lambda v: (frequency[c1[v]], -g1.degree(v), v))
     candidates = [[u for u in range(n) if c2[u] == c1[v]] for v in range(n)]
     mapping = [-1] * n
     used = [False] * n

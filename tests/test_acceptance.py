@@ -18,7 +18,6 @@ from indpoly.graphs import (
     FamilySpec,
     alpha,
     build_family,
-    prufer_decode,
     tree_canonical_code,
 )
 from indpoly.polynomials import (
@@ -313,14 +312,13 @@ def test_c12_tree_scan():
     assert violations == 0
     assert counts == {n: helpers.KNOWN_TREE_COUNTS[n] for n in range(2, 13)}
     # cross-check n <= 8 against full labeled enumeration with two dedup
-    # mechanisms: canonical codes and pairwise isomorphism testing
+    # mechanisms, canonical codes and pairwise isomorphism testing, on the
+    # same decoded trees
     for n in range(2, 9):
-        prufer_codes = {
-            tree_canonical_code(prufer_decode(seq, n))
-            for seq in iterproduct(range(n), repeat=n - 2)
-        }
+        labeled = list(helpers.all_prufer_trees(n))
+        prufer_codes = {tree_canonical_code(tree) for tree in labeled}
         assert prufer_codes == codes_seen[n]
-        assert len(prufer_codes) == helpers.count_trees_by_pairwise_iso(n)
+        assert len(prufer_codes) == len(helpers.iso_dedup(labeled))
     elapsed = time.perf_counter() - t0
     assert elapsed < 600
     total = sum(counts.values())

@@ -47,16 +47,27 @@ def test_import_needs_no_networkx_or_multiprocessing():
     assert proc.stdout == "[]\n"
 
 
-# the modules a subcommand must not load, checked against what importing and
-# running indpoly adds to a fresh interpreter
-_COLD_START = (
+# runs indpoly in a fresh interpreter; `added` holds the modules that
+# importing and running it loaded
+_RUN_MAIN = (
     "import contextlib, io, sys\n"
     "before = set(sys.modules)\n"
     "from indpoly import cli\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = cli.main(sys.argv[1:])\n"
+    "added = set(sys.modules) - before\n"
+)
+# the modules a subcommand must not load
+_COLD_START = _RUN_MAIN + (
     "watched = ('indpoly.verify', 'indpoly.products', 'dataclasses', 'inspect', 'fractions')\n"
-    "print(code, [m for m in watched if m in set(sys.modules) - before])\n"
+    "print(code, [m for m in watched if m in added])\n"
+)
+# the modules loaded from outside the standard library and indpoly;
+# multiprocessing's spawn start registers the main module as __mp_main__
+_STDLIB_ONLY = _RUN_MAIN + (
+    "foreign = [m for m in added if m != '__mp_main__'\n"
+    "           and m.partition('.')[0] not in {*sys.stdlib_module_names, 'indpoly'}]\n"
+    "print(code, 'indpoly.cli' in added, sorted(foreign))\n"
 )
 
 
@@ -69,6 +80,23 @@ def test_cold_start_loads_only_the_subcommand_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 ['indpoly.products']\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poly", "--family", "path:4"),
+        ("product", "rooted", "--g1", "family:path:3", "--g2", "family:path:2", "--root", "0"),
+        ("verify", "thm22", "--samples", "20"),
+        ("verify", "prop26", "--g1", "family:complete:2", "--g2", "family:empty:2"),
+        ("scan", "trees", "--nmax", "6", "--jobs", "2"),
+    ],
+    ids=["poly", "product-rooted", "verify-thm22", "verify-prop26", "scan-jobs-2"],
+)
+def test_every_subcommand_loads_only_the_standard_library(argv, tmp_path):
+    proc = run_python("-c", _STDLIB_ONLY, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 True []\n"
 
 
 def test_package_names_resolve_on_first_use():
@@ -260,6 +288,33 @@ def test_product_join():
     assert out["coeffs"] == ["1", "5", "4", "1"]
 
 
+def _count_engine_calls(monkeypatch) -> list:
+    """Record each call of the engine entry point made through the modules
+    that the CLI solves with."""
+    from indpoly import products, verify
+
+    calls = []
+    for module in (cli, products, verify):
+        def counted(*args, _engine=module.independence_polynomial, **kwargs):
+            calls.append(args)
+            return _engine(*args, **kwargs)
+
+        monkeypatch.setattr(module, "independence_polynomial", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", cli.PRODUCTS)
+def test_product_over_cap_solves_no_operand(kind, monkeypatch, capsys):
+    # 33 + 32 vertices: over the cap for every kind, the sum being the least
+    calls = _count_engine_calls(monkeypatch)
+    argv = ["product", kind, "--g1", "family:path:33", "--g2", "family:path:32", "--root", "0"]
+    assert cli.main(argv) == 3
+    assert calls == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: product has ") and err.endswith("exceeds the cap of 64\n")
+
+
 def test_product_capacity_exit_3():
     proc = run_cli(
         "product", "join", "--g1", "family:empty:40", "--g2", "family:empty:40"
@@ -301,6 +356,17 @@ def test_verify_gn():
     out = run_json("verify", "gn", "--nmax", "8")
     assert out["ok"] is True
     assert all(row["match"] for row in out["results"])
+
+
+def test_verify_gn_over_cap_solves_nothing(monkeypatch, capsys):
+    # G_32 is the first G_n over the cap; every G_n is built before any is solved
+    calls = _count_engine_calls(monkeypatch)
+    for nmax in ("32", "40"):
+        assert cli.main(["verify", "gn", "--nmax", nmax]) == 3
+        assert capsys.readouterr() == (
+            "", "error: family pendant_ladder_g has 65 vertices, which exceeds the cap of 64\n"
+        )
+    assert calls == []
 
 
 def test_verify_negative_nmax_exit_2():
@@ -426,9 +492,10 @@ def test_scan_trees_small(tmp_path):
 
 def test_scan_trees_deterministic_and_parallel(tmp_path):
     out1, out2, out3 = (tmp_path / name for name in ("a.jsonl", "b.jsonl", "c.jsonl"))
-    p1 = run_cli("scan", "trees", "--nmax", "6", "--out", str(out1))
-    p2 = run_cli("scan", "trees", "--nmax", "6", "--out", str(out2))
-    p3 = run_cli("scan", "trees", "--nmax", "6", "--out", str(out3), "--jobs", "2")
+    # size 9 has 47 trees, so a worker pool sends it in more than one chunk
+    p1 = run_cli("scan", "trees", "--nmax", "9", "--out", str(out1))
+    p2 = run_cli("scan", "trees", "--nmax", "9", "--out", str(out2))
+    p3 = run_cli("scan", "trees", "--nmax", "9", "--out", str(out3), "--jobs", "2")
     assert p1.returncode == p2.returncode == p3.returncode == 0
     assert p1.stdout == p2.stdout == p3.stdout
     assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()

@@ -1,3 +1,4 @@
+import io
 import pickle
 import random
 import tracemalloc
@@ -165,6 +166,22 @@ def test_parse_edge_list_string_line_endings(sep):
     # mixed separators: "\r\r" leaves a blank line 3
     with pytest.raises(GraphParseError, match="line 4: more than 1 edge lines"):
         parse_edge_list("2 1\r\n0 1\r\r0 1\n")
+
+
+def _parse_outcome(source):
+    try:
+        return parse_edge_list(source)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.lists(st.sampled_from(["0", "1", " ", "#", "\n", "\r", "\r\n"]), max_size=40))
+@settings(deadline=None, max_examples=300)
+def test_parse_edge_list_string_splits_lines_as_text_mode(pieces):
+    # a string gives the same graph, or the same error at the same line, as
+    # its text read through Python's own text-mode line splitting
+    text = "".join(pieces)
+    assert _parse_outcome(text) == _parse_outcome(io.StringIO(text, newline=None))
 
 
 def test_edge_list_roundtrip_random():

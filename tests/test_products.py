@@ -109,6 +109,17 @@ def test_rooted_product_poly_examples():
         rooted_product_poly(f, IntPoly((2, 1)), one, 3)
 
 
+def test_rooted_identity_at_the_horner_bounds():
+    # an edgeless G has alpha = n, so no power of I(h - root) is left over
+    # once the Horner pass is done; K1 has the shortest pass
+    for h, root in ((fam("path", 4), 1), (fam("star", 3), 0), (fam("cycle", 5), 2)):
+        ihv, ihnv = rooted_factors(h, root)
+        for g in (fam("complete", 1), fam("empty", 1), fam("empty", 6)):
+            formula = rooted_product_poly(ip(g), ihv, ihnv, g.n)
+            assert ip(rooted_product(g, h, root)) == formula
+        assert rooted_product_poly(IntPoly(), ihv, ihnv, 3) == IntPoly()
+
+
 def test_join_poly_requires_unit_constants():
     with pytest.raises(ValueError):
         join_poly(IntPoly((2, 1)), ONE_PLUS_X)

@@ -30,6 +30,7 @@ from indpoly.verify import (
     free_tree_count,
     increasing_coefficients_case,
     pendant_ladder_family_check,
+    pendant_ladder_graph_check,
     pendant_ladder_recurrence,
     pendant_ladder_trig_check,
     rooted_product_factor_inequalities,
@@ -190,6 +191,8 @@ def test_recurrence_matches_engine():
     for n in range(0, 21):
         g = fam("pendant_ladder_g", n)
         assert independence_polynomial(g) == pendant_ladder_recurrence(n), n
+    # the one-pass check, up to the last G_n under the vertex cap
+    assert pendant_ladder_graph_check(31) == [{"n": n, "match": True} for n in range(32)]
 
 
 def test_family_check_rows():
