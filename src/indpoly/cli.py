@@ -3,8 +3,9 @@ condition suites, and the exhaustive small-tree scan.
 
 All numeric output is emitted as decimal strings inside JSON so arbitrary
 precision survives any consumer.  Exit codes: 0 success, 1 verification
-failure, 2 parse error, 3 capacity exceeded (more than 64 vertices from a
-family, an edge list, graph6 or a product, refused before any edge), 4 I/O error.
+failure, 2 parse or usage error (also any flag a `verify` suite does not
+read), 3 capacity exceeded (more than 64 vertices from any input or product,
+refused before any edge), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -188,8 +189,6 @@ def _thm22(ver, args):
 
 
 def _prop26(ver, args):
-    if not args.g1 or not args.g2:
-        raise GraphParseError("prop26 requires --g1 and --g2")
     verdict = ver.well_covered_composition_condition(
         load_graph_source(args.g1), load_graph_source(args.g2)
     )
@@ -198,8 +197,6 @@ def _prop26(ver, args):
 
 
 def _prop41(ver, args):
-    if not args.g:
-        raise GraphParseError("prop41 requires --g")
     g = load_graph_source(args.g)
     try:
         verdict = ver.rooted_tree_product_check(g, args.tree, args.root)
@@ -227,20 +224,55 @@ def _closedform(ver, args):
     return ver.pendant_ladder_trig_check(args.n, args.tol), {"n": args.n, "tol": args.tol}
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _sample_count(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLES}, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
+_NMAX = (("--nmax", dict(type=int, default=25)),)
+
+# suite -> (runner, the (flag, argparse keywords) pairs it reads and no others)
 SUITES = {
-    "thm22": _thm22,
-    "prop26": _prop26,
-    "prop41": _prop41,
-    "thm52": _thm52,
-    "gn": _gn,
-    "closedform": _closedform,
+    "thm22": (_thm22, (("--samples", dict(type=_sample_count, default=500)),
+                       ("--seed", dict(type=int, default=DEFAULT_SEED)))),
+    "prop26": (_prop26, (("--g1", dict(required=True, help="graph source")),
+                         ("--g2", dict(required=True, help="graph source")))),
+    "prop41": (_prop41, (("--g", dict(required=True, help="graph source")),
+                         ("--tree", dict(default="T", help="T or T1")),
+                         ("--root", dict(type=int, default=1, help="root label 1..4")))),
+    "thm52": (_thm52, _NMAX),
+    "gn": (_gn, _NMAX),
+    "closedform": (_closedform, (("--n", dict(type=int, default=11)),
+                                 ("--tol", dict(type=_positive_float, default=1e-6)))),
 }
 
 
 def cmd_verify(args) -> int:
     from . import verify
 
-    ok, fields = SUITES[args.suite](verify, args)
+    ok, fields = SUITES[args.suite][0](verify, args)
     _emit({"suite": args.suite, "ok": ok, **fields})
     return 0 if ok else 1
 
@@ -328,31 +360,14 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _sample_count(text: str) -> int:
-    value = _positive_int(text)
-    if value > MAX_SAMPLES:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLES}, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
-    return value
+class _SuiteParser(argparse.ArgumentParser):
+    # argparse would pass a flag the suite does not declare up to the top-level
+    # parser; refused here, its error prints the suite's own usage line
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,17 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_prod.set_defaults(func=cmd_product)
 
     p_ver = sub.add_parser("verify", help="run one verification suite")
-    p_ver.add_argument("suite", choices=SUITES)
-    p_ver.add_argument("--samples", type=_sample_count, default=500)
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_ver.add_argument("--nmax", type=int, default=25)
-    p_ver.add_argument("--n", type=int, default=11)
-    p_ver.add_argument("--tol", type=_positive_float, default=1e-6)
-    p_ver.add_argument("--g", help="graph source (prop41)")
-    p_ver.add_argument("--g1", help="graph source (prop26)")
-    p_ver.add_argument("--g2", help="graph source (prop26)")
-    p_ver.add_argument("--tree", default="T", help="T or T1 (prop41)")
-    p_ver.add_argument("--root", type=int, default=1, help="root label 1..4 (prop41)")
+    suites = p_ver.add_subparsers(dest="suite", required=True, parser_class=_SuiteParser)
+    for suite, (_, flags) in SUITES.items():
+        p_suite = suites.add_parser(suite, allow_abbrev=False)  # thm52 --n is no --nmax
+        for flag, keywords in flags:
+            p_suite.add_argument(flag, **keywords)
     p_ver.set_defaults(func=cmd_verify)
 
     p_scan = sub.add_parser("scan", help="exhaustive non-isomorphic tree scan")

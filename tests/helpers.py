@@ -24,7 +24,6 @@ from indpoly.polynomials import (
 
 # Globally interned refinement colors so colors are comparable across graphs.
 _INTERN: dict = {}
-_COLOR_CACHE: dict[Graph, tuple[int, ...]] = {}
 _WL_ROUNDS = 3
 
 
@@ -38,9 +37,6 @@ def _intern(key) -> int:
 
 def wl_colors(g: Graph) -> tuple[int, ...]:
     """Iterated neighborhood refinement colors (isomorphism-invariant)."""
-    cached = _COLOR_CACHE.get(g)
-    if cached is not None:
-        return cached
     neighbors = [list(_bits(row)) for row in g.adj]
     colors = [_intern(("deg", len(ns))) for ns in neighbors]
     for _ in range(_WL_ROUNDS):
@@ -48,16 +44,18 @@ def wl_colors(g: Graph) -> tuple[int, ...]:
             _intern((color, tuple(sorted([colors[w] for w in ns]))))
             for color, ns in zip(colors, neighbors)
         ]
-    result = tuple(colors)
-    _COLOR_CACHE[g] = result
-    return result
+    return tuple(colors)
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Exact isomorphism test by color-pruned backtracking."""
+    return _isomorphic(g1, wl_colors(g1), g2, wl_colors(g2))
+
+
+def _isomorphic(g1: Graph, c1: tuple[int, ...], g2: Graph, c2: tuple[int, ...]) -> bool:
+    """`are_isomorphic` given each graph's `wl_colors`."""
     if g1.n != g2.n or g1.edge_count() != g2.edge_count():
         return False
-    c1, c2 = wl_colors(g1), wl_colors(g2)
     if sorted(c1) != sorted(c2):
         return False
     n = g1.n
@@ -94,13 +92,15 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 
 def iso_dedup(graphs) -> list[Graph]:
     """Representatives of the isomorphism classes present in the input."""
-    buckets: dict[tuple, list[Graph]] = {}
+    # each bucket keeps (representative, its colors), so no graph is colored twice
+    buckets: dict[tuple, list[tuple[Graph, tuple[int, ...]]]] = {}
     reps: list[Graph] = []
     for g in graphs:
-        key = (g.n, g.edge_count(), tuple(sorted(wl_colors(g))))
+        colors = wl_colors(g)
+        key = (g.n, g.edge_count(), tuple(sorted(colors)))
         bucket = buckets.setdefault(key, [])
-        if not any(are_isomorphic(g, rep) for rep in bucket):
-            bucket.append(g)
+        if not any(_isomorphic(g, colors, rep, rep_colors) for rep, rep_colors in bucket):
+            bucket.append((g, colors))
             reps.append(g)
     return reps
 
@@ -109,7 +109,7 @@ def graph_corpus(max_n: int) -> dict[int, list[Graph]]:
     """All graphs on 1..max_n vertices up to isomorphism."""
     levels: dict[int, list[Graph]] = {1: [Graph.from_edges(1, [])]}
     for n in range(2, max_n + 1):
-        buckets: dict[tuple, list[Graph]] = {}
+        buckets: dict[tuple, list[tuple[Graph, tuple[int, ...]]]] = {}
         out: list[Graph] = []
         new_bit = 1 << (n - 1)
         for parent in levels[n - 1]:
@@ -120,10 +120,11 @@ def graph_corpus(max_n: int) -> dict[int, list[Graph]]:
                 ]
                 adj.append(subset)
                 g = Graph(n, tuple(adj))
-                key = (g.edge_count(), tuple(sorted(wl_colors(g))))
+                colors = wl_colors(g)
+                key = (g.edge_count(), tuple(sorted(colors)))
                 bucket = buckets.setdefault(key, [])
-                if not any(are_isomorphic(g, rep) for rep in bucket):
-                    bucket.append(g)
+                if not any(_isomorphic(g, colors, rep, rep_colors) for rep, rep_colors in bucket):
+                    bucket.append((g, colors))
                     out.append(g)
         levels[n] = out
     return levels

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +122,18 @@ def test_readme_library_snippet_runs():
     proc = run_python("-c", snippet + "print(ip.independence_polynomial(g).coeffs)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "(1, 49, 48, 64)\n"
+
+
+def test_readme_examples_parse():
+    readme = (Path(SRC).parent / "README.md").read_text(encoding="utf-8")
+    examples = [line for line in readme.splitlines() if line.startswith("indpoly ")]
+    assert examples
+    parser = cli.build_parser()
+    for line in examples:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +338,53 @@ def test_product_capacity_exit_3():
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+
+
+# every flag some verify suite declares, with a value it takes
+_VERIFY_FLAGS = {
+    "--samples": "5", "--seed": "1", "--g1": "family:path:2", "--g2": "family:path:3",
+    "--g": "family:path:4", "--tree": "T1", "--root": "2", "--nmax": "3", "--n": "4",
+    "--tol": "0.1",
+}
+# suite -> (a valid argv, the namespace fields it parses to, the required flags)
+_SUITE_ARGS = {
+    "thm22": ((), {"samples": 500, "seed": cli.DEFAULT_SEED}, ()),
+    "prop26": (
+        ("--g1", "family:path:2", "--g2", "family:path:3"),
+        {"g1": "family:path:2", "g2": "family:path:3"},
+        ("--g1", "--g2"),
+    ),
+    "prop41": (("--g", "family:path:4"), {"g": "family:path:4", "tree": "T", "root": 1}, ("--g",)),
+    "thm52": ((), {"nmax": 25}, ()),
+    "gn": ((), {"nmax": 25}, ()),
+    "closedform": ((), {"n": 11, "tol": 1e-6}, ()),
+}
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_verify_suite_takes_only_its_flags(suite, capsys):
+    argv, fields, required = _SUITE_ARGS[suite]
+    parsed = cli.build_parser().parse_args(["verify", suite, *argv])
+    assert vars(parsed) == {"command": "verify", "suite": suite, "func": cli.cmd_verify, **fields}
+    # a flag of another suite, even one that starts like its own (--n, --g), is refused
+    foreign = [(flag, value) for flag, value in _VERIFY_FLAGS.items() if flag[2:] not in fields]
+    assert foreign
+    cases = [((*argv, *pair), f"unrecognized arguments: {' '.join(pair)}") for pair in foreign]
+    for flag in required:
+        i = argv.index(flag)
+        cases.append((argv[:i] + argv[i + 2:], f"the following arguments are required: {flag}"))
+    for args, message in cases:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["verify", suite, *args])
+        assert exit_info.value.code == 2, args
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: indpoly verify {suite} ")
+        assert message in err
+    args, message = cases[0]
+    proc = run_cli("verify", suite, *args)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"usage: indpoly verify {suite} ") and message in proc.stderr
 
 
 def test_verify_thm52():
