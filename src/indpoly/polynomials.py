@@ -404,18 +404,33 @@ def real_rooted(f: IntPoly) -> bool:
     Walks the Sturm chain of primitive f, sign-normalised, and returns False
     at the first member that is not one degree below the one before or whose
     leading coefficient is not positive; a chain that ends without one is
-    real-rooted (see the comment above).
+    real-rooted (see the comment above).  The walk goes on only past
+    members one degree apart, so each pseudo-remainder it takes has exactly
+    two steps, fused below into one pass; the members are the integers
+    ``_sturm_chain`` yields.
     """
     if f.is_zero():
         raise ValueError("real_rooted is undefined for the zero polynomial")
-    cs = _primitive(list(f.coeffs))
-    if cs[-1] < 0:
-        cs = [-c for c in cs]
-    size = len(cs) + 1
-    for member in _sturm_chain(cs):
-        if len(member) != size - 1 or member[-1] < 0:
-            return False
-        size = len(member)
+    prev = _primitive(list(f.coeffs))
+    if prev[-1] < 0:
+        prev = [-c for c in prev]
+    if len(prev) == 1:
+        return True
+    # f' of a positive-leading f is one degree lower with a positive lead
+    cur = _primitive(_derivative(prev))
+    while len(cur) > 1:
+        # with g = cur of degree m, f = prev of degree m + 1 and lg = lc(g):
+        # c1 = f_{m+1}, c0 = lg f_m - c1 g_{m-1}, and the remainder is
+        # r_i = lg (lg f_i - c1 g_{i-1}) - c0 g_i for i < m, with g_{-1} = 0
+        lg = cur[-1]
+        c1 = prev[-1]
+        c0 = lg * prev[-2] - c1 * cur[-2]
+        r = [lg * (lg * a - c1 * b) - c0 * c for a, b, c in zip(prev, [0, *cur], cur[:-1])]
+        # the next member is -r: a zero r ends the chain at gcd(f, f') = g,
+        # a zero r_{m-1} drops more than one degree, r_{m-1} > 0 leads negative
+        if r[-1] >= 0:
+            return not any(r)
+        prev, cur = cur, _primitive([-c for c in r])
     return True
 
 
@@ -467,7 +482,7 @@ def property_report(f: IntPoly) -> PropertyReport:
         violations["log_concave"] = lc_at
     if not slc:
         violations["strictly_log_concave"] = slc_at
-    mode = max(range(len(f.coeffs)), key=lambda k: (f.coeffs[k], -k))
+    mode = f.coeffs.index(max(f.coeffs))
     report = PropertyReport(
         unimodal=uni,
         log_concave=lc,

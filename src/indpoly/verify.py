@@ -15,7 +15,6 @@ are sufficient, not necessary.
 from __future__ import annotations
 
 import base64
-import json
 import math
 import random
 from fractions import Fraction
@@ -28,7 +27,6 @@ from .graphs import (
     FamilySpec,
     Graph,
     GraphError,
-    _tree_code,
     alpha,
     build_family,
     delete_closed_neighborhood,
@@ -445,18 +443,63 @@ def free_tree_count(n: int) -> int:
     return sum(1 for _ in _free_level_sequences(n))
 
 
+def _level_sequence_code(levels: Sequence[int]) -> bytes:
+    """The canonical code of the tree of a level sequence rooted at a centre,
+    the code ``graphs._tree_code`` gives its tree, in one reverse pass.
+
+    Each vertex sorts and joins the codes its children left at the next
+    depth, clears them, and leaves its own code at its depth.  With h1 >= h2
+    the two largest heights of the root's subtrees, the tree is bicentral
+    exactly when only one subtree reaches h1 and h1 = h2 + 1; its other
+    centre c heads that subtree.  Rooted at c, the tree has c's child codes
+    plus the root with every child but c, and the smaller rooting is the
+    code.
+    """
+    pending: list[list[bytes]] = [[] for _ in range(max(levels) + 2)]
+    tallest = second = 0
+    top_kids = top_code = None
+    end = len(levels)
+    for i in range(len(levels) - 1, 0, -1):
+        d = levels[i]
+        kids = pending[d + 1]
+        if kids:
+            pending[d + 1] = []
+            kids.sort()
+            code = b"(%s)" % b"".join(kids)
+        else:
+            code = b"()"
+        pending[d].append(code)
+        if d == 1:
+            # a child of the root: its subtree runs from i to the next child
+            height = max(levels[i:end])
+            end = i
+            if height > tallest:
+                second, tallest = tallest, height
+                top_kids, top_code = kids or [], code
+            elif height > second:
+                second = height
+    kids = pending[1]
+    kids.sort()
+    code = b"(%s)" % b"".join(kids)
+    if tallest != second + 1:
+        return code
+    rest = list(kids)
+    rest.remove(top_code)
+    other = [*top_kids, b"(%s)" % b"".join(rest)]
+    other.sort()
+    return min(code, b"(%s)" % b"".join(other))
+
+
 def _coded_level_sequences(n: int) -> list[tuple[bytes, bytes]]:
     """(canonical code, level sequence as bytes) for every tree on n >= 1
     vertices, sorted by code.  A level sequence takes n bytes where its tree
     takes an int per vertex, so a whole size fits in memory at once.  The
-    generator yields only trees, so ``_tree_code``, the code that
-    ``tree_canonical_code`` returns after its checks, is taken on the rows of
-    the parent array, with no ``Graph`` and no check."""
+    code is ``_level_sequence_code``, taken on the level sequence itself;
+    ``graphs._tree_code`` on the tree's adjacency rows is the graph route
+    that gives the same code."""
     if n < 1:
         raise ValueError("a tree needs at least 1 vertex")
-    coded = []
-    for levels in _free_level_sequences(n):
-        coded.append((_tree_code(_parent_rows(_level_sequence_parents(levels))), bytes(levels)))
+    coded = [(_level_sequence_code(levels), bytes(levels)) for levels in _free_level_sequences(n)]
     coded.sort()
     if len({code for code, _ in coded}) != len(coded):
         raise AssertionError("canonical code collision in tree enumeration")
@@ -497,19 +540,26 @@ def tree_scan(n_min: int, n_max: int, pool=None) -> Iterator[ScanResult]:
     return pool.imap(_scan_tree, trees, chunksize=_SCAN_CHUNK)
 
 
+_SCAN_LINE = ('{"code": "%s", "coeffs": ["%s"], "log_concave": %s, "n": %d,'
+              ' "real_rooted": %s, "symmetric": %s, "unimodal": %s}')
+_JSON_BOOL = {False: "false", True: "true"}
+
+
 def scan_result_to_json(result: ScanResult) -> str:
-    """One JSON object per line; coefficients as decimal strings."""
-    return json.dumps(
-        {
-            "n": result.n,
-            "code": base64.b64encode(result.canonical_code).decode("ascii"),
-            "coeffs": coeffs_as_strings(result.polynomial),
-            "unimodal": result.report.unimodal,
-            "log_concave": result.report.log_concave,
-            "symmetric": result.report.symmetric,
-            "real_rooted": result.report.real_rooted,
-        },
-        sort_keys=True,
+    """One JSON object per line; coefficients as decimal strings.
+
+    The line is what ``json.dumps`` with ``sort_keys=True`` writes, formatted
+    directly: base64 and decimal digits need no escaping.
+    """
+    report = result.report
+    return _SCAN_LINE % (
+        base64.b64encode(result.canonical_code).decode("ascii"),
+        '", "'.join(map(str, result.polynomial.coeffs)),
+        _JSON_BOOL[report.log_concave],
+        result.n,
+        _JSON_BOOL[report.real_rooted],
+        _JSON_BOOL[report.symmetric],
+        _JSON_BOOL[report.unimodal],
     )
 
 

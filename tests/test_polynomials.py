@@ -289,6 +289,7 @@ def test_real_rooted_agrees_with_float_companion():
         for a in rng.sample(range(1, 13), rng.randint(1, 6)):
             f = f * poly(1, a)
         assert real_rooted(f)
+        assert helpers.sturm_routes_agree(f), f.coeffs
         assert _float_real_rooted(f), f.coeffs
     # non-real-rooted: multiply in an irreducible quadratic
     for _ in range(500):

@@ -1,3 +1,5 @@
+import base64
+import itertools
 import json
 import pickle
 import random
@@ -11,17 +13,29 @@ from indpoly.graphs import (
     CapacityError,
     FamilySpec,
     GraphError,
+    _ahu_code,
+    _tree_code,
     build_family,
     tree_canonical_code,
 )
-from indpoly.polynomials import IntPoly, is_log_concave, is_symmetric, real_rooted
+from indpoly.polynomials import (
+    IntPoly,
+    coeffs_as_strings,
+    is_log_concave,
+    is_symmetric,
+    real_rooted,
+)
 from indpoly.products import rooted_product
 from indpoly.verify import (
     FAMILY_CHECK_MAX,
     TRIG_CHECK_MAX,
     SamplingError,
     _coded_level_sequences,
+    _free_level_sequences,
+    _level_sequence_code,
+    _level_sequence_parents,
     _level_sequence_tree,
+    _parent_rows,
     binomial_basis_unimodality_condition,
     composition_log_concavity_condition,
     composition_soundness_scan,
@@ -274,6 +288,20 @@ def test_scan_matches_the_graph_routes():
         assert len(results) == helpers.KNOWN_TREE_COUNTS[n]
 
 
+def test_level_sequence_code_matches_the_graph_route():
+    # the reverse pass over each level sequence against graphs._tree_code on
+    # the tree's adjacency rows, for every free tree up to 16 vertices; some
+    # bicentral trees must take the code of the centre that is not the root
+    second_centre = 0
+    for n in range(1, 17):
+        for levels in _free_level_sequences(n):
+            parents = _level_sequence_parents(levels)
+            code = _level_sequence_code(levels)
+            assert code == _tree_code(_parent_rows(parents)), levels
+            second_centre += code != _ahu_code(parents)
+    assert second_centre > 0
+
+
 def test_tree_scan_counts_and_violations():
     per_n = {}
     for result in tree_scan(2, 5):
@@ -304,6 +332,37 @@ def test_scan_result_is_a_frozen_picklable_value():
         result.n = 5
     again = pickle.loads(pickle.dumps(result))
     assert again == result and scan_result_to_json(again) == scan_result_to_json(result)
+
+
+def _json_dumps_line(result):
+    # the json.dumps formula that scan_result_to_json formats by hand
+    return json.dumps(
+        {
+            "n": result.n,
+            "code": base64.b64encode(result.canonical_code).decode("ascii"),
+            "coeffs": coeffs_as_strings(result.polynomial),
+            "unimodal": result.report.unimodal,
+            "log_concave": result.report.log_concave,
+            "symmetric": result.report.symmetric,
+            "real_rooted": result.report.real_rooted,
+        },
+        sort_keys=True,
+    )
+
+
+def test_scan_result_to_json_matches_json_dumps():
+    results = list(tree_scan(2, 10))
+    # hand-built results: every pattern of the four booleans, a code whose
+    # base64 has "+" and "/", and a coefficient past 64 bits
+    last = results[-1]
+    names = ("unimodal", "log_concave", "symmetric", "real_rooted")
+    for flags in itertools.product((False, True), repeat=4):
+        report = last.report._replace(**dict(zip(names, flags)))
+        results.append(last._replace(report=report))
+        results.append(last._replace(canonical_code=bytes(range(256)), n=64,
+                                     polynomial=IntPoly((1, 10 ** 30, 7)), report=report))
+    for result in results:
+        assert scan_result_to_json(result) == _json_dumps_line(result)
 
 
 def test_scan_result_json_shape():
