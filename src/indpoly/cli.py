@@ -3,8 +3,8 @@ condition suites, and the exhaustive small-tree scan.
 
 All numeric output is emitted as decimal strings inside JSON so arbitrary
 precision survives any consumer.  Exit codes: 0 success, 1 verification
-failure, 2 parse or usage error (also any flag a `verify` suite does not
-read), 3 capacity exceeded (more than 64 vertices from any input or product,
+failure, 2 parse or usage error (also a flag the subcommand does not take),
+3 capacity exceeded (more than 64 vertices from any input or product,
 refused before any edge), 4 I/O error.
 """
 
@@ -23,7 +23,6 @@ from .graphs import (
     FAMILIES,
     FamilySpec,
     Graph,
-    GraphError,
     GraphParseError,
     MAX_VERTICES,
     build_family,
@@ -115,48 +114,46 @@ def cmd_poly(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# product
+# product: each kind maps the products module, the operands and the parsed
+# arguments to (product graph, its polynomial by formula).  The graph comes
+# first, so an over-cap product is refused before any operand is solved; the
+# module's functions are looked up at call time, so a rebinding reaches them.
 # ---------------------------------------------------------------------------
 
 
-def _rooted(prod, g1: Graph, g2: Graph, root):
-    if root is None:
-        raise GraphParseError("rooted product requires --root")
-    return (
-        prod.rooted_product(g1, g2, root),
-        prod.rooted_product_poly(
-            independence_polynomial(g1), *prod.rooted_factors(g2, root), g1.n
-        ),
+def _binary(graph: str, formula: str):
+    def run(prod, g1: Graph, g2: Graph, args):
+        return getattr(prod, graph)(g1, g2), getattr(prod, formula)(
+            independence_polynomial(g1), independence_polynomial(g2)
+        )
+
+    return run
+
+
+def _rooted(prod, g1: Graph, g2: Graph, args):
+    return prod.rooted_product(g1, g2, args.root), prod.rooted_product_poly(
+        independence_polynomial(g1), *prod.rooted_factors(g2, args.root), g1.n
     )
 
 
-# kind -> (the products module, g1, g2, root) -> (product graph, its polynomial
-# by formula).  The graph comes first, so a product over the vertex cap is
-# refused before any operand is solved.  Each entry looks its functions up on
-# the module at call time, so a rebinding of the module's names
-# (perfbench/trace_run.py) reaches them.
+_SOURCE = dict(required=True, help="source: family:..., g6:..., file:...")
+_OPERANDS = (("--g1", _SOURCE), ("--g2", _SOURCE))
+
+# kind -> (runner, the (flag, argparse keywords) pairs it reads and no others)
 PRODUCTS = {
-    "lex": lambda prod, g1, g2, root: (
-        prod.lexicographic(g1, g2),
-        prod.lex_poly(independence_polynomial(g1), independence_polynomial(g2)),
-    ),
-    "rooted": _rooted,
-    "join": lambda prod, g1, g2, root: (
-        prod.join(g1, g2),
-        prod.join_poly(independence_polynomial(g1), independence_polynomial(g2)),
-    ),
-    "union": lambda prod, g1, g2, root: (
-        prod.disjoint_union(g1, g2),
-        prod.union_poly(independence_polynomial(g1), independence_polynomial(g2)),
-    ),
+    "lex": (_binary("lexicographic", "lex_poly"), _OPERANDS),
+    "rooted": (_rooted, (*_OPERANDS, ("--root", dict(type=int, required=True,
+                                                     help="root vertex index in g2")))),
+    "join": (_binary("join", "join_poly"), _OPERANDS),
+    "union": (_binary("disjoint_union", "union_poly"), _OPERANDS),
 }
 
 
 def cmd_product(args) -> int:
     from . import products
 
-    product, formula = PRODUCTS[args.kind](
-        products, load_graph_source(args.g1), load_graph_source(args.g2), args.root
+    product, formula = PRODUCTS[args.kind][0](
+        products, load_graph_source(args.g1), load_graph_source(args.g2), args
     )
     graph_level = independence_polynomial(product)
     _emit(
@@ -360,9 +357,13 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _SuiteParser(argparse.ArgumentParser):
-    # argparse would pass a flag the suite does not declare up to the top-level
-    # parser; refused here, its error prints the suite's own usage line
+class _StrictParser(argparse.ArgumentParser):
+    # the CLI's one parser class, which every sub-parser inherits: it refuses
+    # abbreviations (thm52 --n is no --nmax) and any flag it does not declare,
+    # which argparse would pass up, so the error prints its own usage line
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
@@ -370,8 +371,18 @@ class _SuiteParser(argparse.ArgumentParser):
         return namespace, extras
 
 
+def _add_table(parser, dest: str, table: dict, func) -> None:
+    """One sub-parser per table entry, declaring exactly that entry's flags."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (_, flags) in table.items():
+        entry = sub.add_parser(name)
+        for flag, keywords in flags:
+            entry.add_argument(flag, **keywords)
+    parser.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _StrictParser(
         prog="indpoly",
         description="Exact independence polynomials and coefficient-sequence checks.",
     )
@@ -389,20 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
                          type=f"{scheme}:".__add__, help=help_text)
     p_poly.set_defaults(func=cmd_poly)
 
-    p_prod = sub.add_parser("product", help="graph product vs formula identity")
-    p_prod.add_argument("kind", choices=PRODUCTS)
-    p_prod.add_argument("--g1", required=True, help="source: family:..., g6:..., file:...")
-    p_prod.add_argument("--g2", required=True, help="source: family:..., g6:..., file:...")
-    p_prod.add_argument("--root", type=int, help="root vertex index in g2 (rooted only)")
-    p_prod.set_defaults(func=cmd_product)
-
-    p_ver = sub.add_parser("verify", help="run one verification suite")
-    suites = p_ver.add_subparsers(dest="suite", required=True, parser_class=_SuiteParser)
-    for suite, (_, flags) in SUITES.items():
-        p_suite = suites.add_parser(suite, allow_abbrev=False)  # thm52 --n is no --nmax
-        for flag, keywords in flags:
-            p_suite.add_argument(flag, **keywords)
-    p_ver.set_defaults(func=cmd_verify)
+    _add_table(sub.add_parser("product", help="graph product vs formula identity"),
+               "kind", PRODUCTS, cmd_product)
+    _add_table(sub.add_parser("verify", help="run one verification suite"),
+               "suite", SUITES, cmd_verify)
 
     p_scan = sub.add_parser("scan", help="exhaustive non-isomorphic tree scan")
     p_scan.add_argument("what", choices=["trees"])
@@ -416,20 +417,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code by the class of an error raised past parsing; the first match wins
+_EXIT_CODES = ((CapacityError, 3), (ValueError, 2), (OSError, 4))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CapacityError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (GraphError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -196,18 +196,25 @@ def is_unimodal(f: IntPoly) -> tuple[bool, int | None]:
     return False, j
 
 
+def _log_concave_failures(cs) -> tuple[int | None, int | None]:
+    """(weak, strict): first interior k with a_k^2 < a_{k-1} a_{k+1}, and with <=."""
+    strict_at = None
+    for k in range(1, len(cs) - 1):
+        lhs, rhs = cs[k] * cs[k], cs[k - 1] * cs[k + 1]
+        if lhs <= rhs and strict_at is None:
+            strict_at = k
+        if lhs < rhs:
+            return k, strict_at
+    return None, strict_at
+
+
 def is_log_concave(f: IntPoly, strict: bool = False) -> tuple[bool, int | None]:
     """Check a_k^2 >= a_{k-1} a_{k+1} for interior k (strict: >).
 
     Boundary indices are vacuous.  Returns the first failing k on failure.
     """
-    cs = f.coeffs
-    for k in range(1, len(cs) - 1):
-        lhs = cs[k] * cs[k]
-        rhs = cs[k - 1] * cs[k + 1]
-        if lhs < rhs or (strict and lhs == rhs):
-            return False, k
-    return True, None
+    at = _log_concave_failures(f.coeffs)[strict]
+    return at is None, at
 
 
 def is_symmetric(f: IntPoly) -> bool:
@@ -470,18 +477,13 @@ def property_report(f: IntPoly) -> PropertyReport:
     if f.is_zero():
         raise ValueError("no property report for the zero polynomial")
     uni, uni_at = is_unimodal(f)
-    lc, lc_at = is_log_concave(f)
-    slc, slc_at = is_log_concave(f, strict=True)
+    lc_at, slc_at = _log_concave_failures(f.coeffs)
+    lc, slc = lc_at is None, slc_at is None
     sym = is_symmetric(f)
     rr = real_rooted(f)
     newt = newton_check(f)
-    violations: dict[str, int] = {}
-    if not uni:
-        violations["unimodal"] = uni_at
-    if not lc:
-        violations["log_concave"] = lc_at
-    if not slc:
-        violations["strictly_log_concave"] = slc_at
+    witnesses = {"unimodal": uni_at, "log_concave": lc_at, "strictly_log_concave": slc_at}
+    violations = {name: at for name, at in witnesses.items() if at is not None}
     mode = f.coeffs.index(max(f.coeffs))
     report = PropertyReport(
         unimodal=uni,

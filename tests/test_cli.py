@@ -136,6 +136,42 @@ def test_readme_examples_parse():
             pytest.fail(f"README example does not parse: {line}")
 
 
+def _assert_usage_errors(command: str, cases, capsys) -> None:
+    """Each (args, message) case of `indpoly <command> <args>` exits 2 with
+    no stdout, the command's own usage line and the message on stderr."""
+    for args, message in cases:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*command.split(), *args])
+        assert exit_info.value.code == 2, args
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: indpoly {command} "), err
+        assert message in err, err
+
+
+def test_every_subcommand_refuses_foreign_flags(tmp_path, monkeypatch, capsys):
+    # a scan that ran anyway would write its default output file here
+    monkeypatch.chdir(tmp_path)
+    operands = ("--g1", "family:path:2", "--g2", "family:path:2")
+    cases = {
+        # flags go after the kind
+        "product": [((*operands, "lex"), "argument kind: invalid choice: 'family:path:2'")],
+        "product lex": [((*operands, "--root", "7"), "unrecognized arguments: --root 7")],
+        "product rooted": [(operands, "the following arguments are required: --root")],
+        "scan": [
+            (("trees", "--nmax", "3", "--bogus"), "unrecognized arguments: --bogus"),
+            (("trees", "--nma", "3"), "unrecognized arguments: --nma 3"),
+        ],
+        "poly": [
+            (("--fam", "path:3"), "one of the arguments --file --g6 --family is required"),
+            (("--family", "path:3", "--bogus"), "unrecognized arguments: --bogus"),
+        ],
+    }
+    for command, command_cases in cases.items():
+        _assert_usage_errors(command, command_cases, capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # poly
 # ---------------------------------------------------------------------------
@@ -284,6 +320,9 @@ def test_product_rooted():
 def test_product_rooted_requires_root():
     proc = run_cli("product", "rooted", "--g1", "family:path:3", "--g2", "family:path:2")
     assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: indpoly product rooted ")
+    assert "the following arguments are required: --root" in proc.stderr
 
 
 def test_product_union():
@@ -320,12 +359,38 @@ def _count_engine_calls(monkeypatch) -> list:
 def test_product_over_cap_solves_no_operand(kind, monkeypatch, capsys):
     # 33 + 32 vertices: over the cap for every kind, the sum being the least
     calls = _count_engine_calls(monkeypatch)
-    argv = ["product", kind, "--g1", "family:path:33", "--g2", "family:path:32", "--root", "0"]
+    argv = ["product", kind, "--g1", "family:path:33", "--g2", "family:path:32"]
+    if kind == "rooted":
+        argv += ["--root", "0"]
     assert cli.main(argv) == 3
     assert calls == []
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: product has ") and err.endswith("exceeds the cap of 64\n")
+
+
+# every flag some product kind declares, with a value it takes
+_PRODUCT_FLAGS = {"--g1": "family:path:2", "--g2": "family:path:3", "--root": "0"}
+# flags no kind declares: a verify flag, and abbreviations of a product flag
+_NOT_PRODUCT_FLAGS = {"--g": "family:path:4", "--ro": "0", "--nmax": "3"}
+
+
+@pytest.mark.parametrize("kind", cli.PRODUCTS)
+def test_product_kind_takes_only_its_flags(kind, capsys):
+    required = ("--g1", "--g2", "--root") if kind == "rooted" else ("--g1", "--g2")
+    argv = tuple(item for flag in required for item in (flag, _PRODUCT_FLAGS[flag]))
+    parsed = cli.build_parser().parse_args(["product", kind, *argv])
+    fields = {flag[2:]: _PRODUCT_FLAGS[flag] for flag in required}
+    if kind == "rooted":
+        fields["root"] = 0
+    assert vars(parsed) == {"command": "product", "kind": kind, "func": cli.cmd_product, **fields}
+    foreign = {**_PRODUCT_FLAGS, **_NOT_PRODUCT_FLAGS}.items()
+    cases = [((*argv, flag, value), f"unrecognized arguments: {flag} {value}")
+             for flag, value in foreign if flag not in required]
+    for flag in required:
+        i = argv.index(flag)
+        cases.append((argv[:i] + argv[i + 2:], f"the following arguments are required: {flag}"))
+    _assert_usage_errors(f"product {kind}", cases, capsys)
 
 
 def test_product_capacity_exit_3():
