@@ -365,6 +365,18 @@ class _StrictParser(argparse.ArgumentParser):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        if self._subparsers is None:
+            # a leaf names an undeclared flag, with the values after it, before
+            # argparse's required checks would report it as a missing flag
+            unknown, taking = [], False
+            for arg in args[:args.index("--")] if "--" in args else args:
+                if arg[:1] == "-" and arg != "-" and not self._negative_number_matcher.match(arg):
+                    taking = arg.split("=", 1)[0] not in self._option_string_actions
+                if taking:
+                    unknown.append(arg)
+            if unknown:
+                self.error(f"unrecognized arguments: {' '.join(unknown)}")
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")

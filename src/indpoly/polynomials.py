@@ -8,8 +8,15 @@ or fraction type appears here.
 
 from __future__ import annotations
 
+from itertools import pairwise
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
+
+
+def _trim(cs: list[int]) -> list[int]:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
 
 
 class IntPoly:
@@ -23,10 +30,7 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(_trim(list(coeffs))))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
@@ -267,20 +271,16 @@ def newton_check(f: IntPoly) -> bool:
 # polynomials of trees fail within the first few members.
 #
 # ``count_distinct_real_roots`` takes the other route: the square-free part
-# s = f / gcd(f, f'), then a full Sturm count on s.  The gcd and f are both
-# primitive, so by Gauss's lemma s lies in Z[x] and the division runs over
-# the integers; an inexact step raises instead of rounding.
+# s = f / gcd(f, f'), then a full Sturm count on s.  The gcd is the last
+# member of f's own chain, ``_sturm_chain`` run to its end; every member
+# after f is primitive, so that member is the primitive gcd up to sign.
+# With f primitive too, by Gauss's lemma s lies in Z[x] and the division
+# runs over the integers; an inexact step raises instead of rounding.
 
 
 def _primitive(cs: list[int]) -> list[int]:
     g = gcd(*cs)
     return cs if g <= 1 else [c // g for c in cs]
-
-
-def _trim(cs: list[int]) -> list[int]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
 
 
 def _derivative(cs: list[int]) -> list[int]:
@@ -330,28 +330,13 @@ def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
     return _trim(q)
 
 
-def _int_gcd_poly(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd in Z[x] via a primitive pseudo-remainder sequence."""
-    f = _primitive(list(a))
-    g = _primitive(list(b))
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        r = _pseudo_rem(f, g)
-        f, g = g, _primitive(r) if r else []
-    if f and f[-1] < 0:
-        f = [-c for c in f]
-    return f
-
-
 def square_free_part(f: IntPoly) -> IntPoly:
     """f / gcd(f, f'), primitive, with positive leading coefficient."""
     if f.is_zero():
         raise ValueError("square-free part of the zero polynomial")
     cs = _primitive(list(f.coeffs))
-    if len(cs) == 1:
-        return ONE
-    s = _poly_divmod_exact(cs, _int_gcd_poly(cs, _derivative(cs)))
+    *_, g = _sturm_chain(cs)
+    s = _poly_divmod_exact(cs, g)
     if s[-1] < 0:
         s = [-c for c in s]
     return IntPoly(s)
@@ -375,29 +360,15 @@ def _sturm_chain(cs: list[int]) -> Iterator[list[int]]:
         yield cur
 
 
-def _sign_variations(signs: list[int]) -> int:
-    prev = 0
-    count = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            count += 1
-        prev = s
-    return count
-
-
 def _sturm_count(chain: Iterable[list[int]]) -> int:
     """V(-inf) - V(+inf) of a Sturm chain: the distinct real zeros of its
-    first member."""
-    at_plus = []
-    at_minus = []
+    first member.  No member has a zero leading coefficient, so every sign
+    at +-inf is nonzero and each variation lies between adjacent members."""
+    signs = []  # (positive at +inf, positive at -inf) per member
     for p in chain:
-        lc = p[-1]
-        sign = (lc > 0) - (lc < 0)
-        at_plus.append(sign)
-        at_minus.append(sign if (len(p) - 1) % 2 == 0 else -sign)
-    return _sign_variations(at_minus) - _sign_variations(at_plus)
+        plus = p[-1] > 0
+        signs.append((plus, plus == (len(p) % 2 == 1)))
+    return sum((a[1] != b[1]) - (a[0] != b[0]) for a, b in pairwise(signs))
 
 
 def count_distinct_real_roots(f: IntPoly) -> int:

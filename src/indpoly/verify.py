@@ -423,19 +423,10 @@ def _level_sequence_parents(levels: Sequence[int]) -> list[int]:
     return parents
 
 
-def _parent_rows(parents: list[int]) -> list[int]:
-    """The adjacency rows of the tree of a parent array."""
-    adj = [0] * len(parents)
-    for v in range(1, len(parents)):
-        u = parents[v]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
 def _level_sequence_tree(levels: Sequence[int]) -> Graph:
     """The tree of a level sequence as a ``Graph``."""
-    return Graph(len(levels), tuple(_parent_rows(_level_sequence_parents(levels))))
+    parents = _level_sequence_parents(levels)
+    return Graph.from_edges(len(levels), enumerate(parents[1:], 1))
 
 
 def free_tree_count(n: int) -> int:

@@ -14,6 +14,10 @@ from itertools import product
 
 from indpoly.graphs import Graph, _bits
 from indpoly.polynomials import (
+    ONE,
+    ONE_PLUS_X,
+    X,
+    IntPoly,
     _primitive,
     _sturm_chain,
     _sturm_count,
@@ -150,6 +154,27 @@ def sturm_routes_agree(f) -> bool:
     full_chain = _sturm_count(chain) == f.degree - (len(chain[-1]) - 1)
     square_free = count_distinct_real_roots(f) == square_free_part(f).degree
     return real_rooted(f) == full_chain == square_free
+
+
+def pendant_ladder_closed_form(n: int) -> IntPoly:
+    """I(G_n) exactly from the paper's product over 4cos^2(s pi/(n+2)).
+
+    Those numbers are the roots of Q, where V_{n+1}(z) = z^d Q(z^2) with
+    d = [n even], V_0 = 1, V_1 = z and V_k = z V_{k-1} - V_{k-2}; Q is monic
+    of degree m = ceil(n/2).  The product (1+x)^d prod_s [(1+x)^2 + 4x cos^2]
+    is then (1+x)^d (-1)^m sum_k q_k (-(1+x)^2)^k x^(m-k), taken by Horner.
+    """
+    v_prev, v = ONE, X
+    for _ in range(n):
+        v_prev, v = v, X * v - v_prev
+    d = 1 - n % 2
+    q = v.coeffs[d::2]
+    m = len(q) - 1
+    y = -(ONE_PLUS_X ** 2)
+    total = IntPoly()
+    for j in range(m + 1):
+        total = total * y + IntPoly((q[m - j],)).shift(j)
+    return ONE_PLUS_X ** d * total * (-1) ** m
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -157,14 +157,23 @@ def test_every_subcommand_refuses_foreign_flags(tmp_path, monkeypatch, capsys):
         # flags go after the kind
         "product": [((*operands, "lex"), "argument kind: invalid choice: 'family:path:2'")],
         "product lex": [((*operands, "--root", "7"), "unrecognized arguments: --root 7")],
-        "product rooted": [(operands, "the following arguments are required: --root")],
+        "product rooted": [
+            (operands, "the following arguments are required: --root"),
+            # a mistyped flag is named even when a required one is missing
+            ((*operands, "--rot", "1"), "unrecognized arguments: --rot 1"),
+        ],
         "scan": [
             (("trees", "--nmax", "3", "--bogus"), "unrecognized arguments: --bogus"),
             (("trees", "--nma", "3"), "unrecognized arguments: --nma 3"),
         ],
         "poly": [
-            (("--fam", "path:3"), "one of the arguments --file --g6 --family is required"),
+            (("--fam", "path:3"), "unrecognized arguments: --fam path:3"),
             (("--family", "path:3", "--bogus"), "unrecognized arguments: --bogus"),
+        ],
+        "verify prop41": [(("--gg", "family:path:4"), "unrecognized arguments: --gg family:path:4")],
+        "verify prop26": [
+            (("--g1", "family:cycle:4", "--g3", "family:cycle:4"),
+             "unrecognized arguments: --g3 family:cycle:4"),
         ],
     }
     for command, command_cases in cases.items():

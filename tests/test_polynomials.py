@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 
@@ -213,6 +214,38 @@ def test_square_free_part():
     f = (ONE_PLUS_X ** 2) * poly(1, 2)
     s = square_free_part(f)
     assert s == ONE_PLUS_X * poly(1, 2)
+
+
+def test_square_free_oracle_on_known_factorisations():
+    # seeded products of distinct primitive linear factors b x + a and
+    # distinct irreducible quadratics, each to a power, times a content of
+    # either sign: the square-free part is the primitive product of the
+    # distinct factors with a positive lead, and the distinct real zeros are
+    # the linear factors
+    rng = random.Random(180018)
+    linear = [(a, b) for b in range(1, 5) for a in range(-6, 7) if math.gcd(a, b) == 1]
+    quadratic = [(a, b, c) for a in range(1, 6) for b in range(-4, 5) for c in range(1, 6)
+                 if b * b < 4 * a * c and math.gcd(a, b, c) == 1]
+    for _ in range(300):
+        factors = [poly(*cs) for cs in rng.sample(linear, rng.randint(0, 4))]
+        roots = len(factors)
+        factors += [poly(*cs) for cs in rng.sample(quadratic, rng.randint(0, 3))]
+        f = poly(rng.choice([-1, 1]) * rng.randint(1, 30))
+        expected = ONE
+        for factor in factors:
+            f = f * (factor * rng.choice([-1, 1])) ** rng.randint(1, 3)
+            expected = expected * factor
+        assert square_free_part(f) == expected, f.coeffs
+        assert count_distinct_real_roots(f) == roots, f.coeffs
+
+
+def test_real_rooted_and_the_oracle_stay_apart():
+    # the early-exit walk and the square-free oracle are two routes to one
+    # verdict; neither may call the other's code
+    walk = set(real_rooted.__code__.co_names)
+    assert not walk & {"_sturm_chain", "_pseudo_rem", "square_free_part", "count_distinct_real_roots"}
+    for oracle in (square_free_part, count_distinct_real_roots):
+        assert "real_rooted" not in oracle.__code__.co_names
 
 
 def test_count_distinct_real_roots():

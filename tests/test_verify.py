@@ -35,7 +35,7 @@ from indpoly.verify import (
     _level_sequence_code,
     _level_sequence_parents,
     _level_sequence_tree,
-    _parent_rows,
+    _pendant_ladders,
     binomial_basis_unimodality_condition,
     composition_log_concavity_condition,
     composition_soundness_scan,
@@ -218,6 +218,14 @@ def test_family_check_rows():
     assert pendant_ladder_recurrence(2) == IntPoly((1, 1)) * IntPoly((1, 4, 1))
 
 
+def test_pendant_ladder_closed_form_is_exact():
+    # the paper's product formula for G_n, expanded in integers, against the
+    # recurrence for every n <= 200 and at n = 300
+    for n, poly in zip(range(201), _pendant_ladders()):
+        assert helpers.pendant_ladder_closed_form(n) == poly, n
+    assert helpers.pendant_ladder_closed_form(300) == pendant_ladder_recurrence(300)
+
+
 def test_symmetry_functional_form():
     for n in range(0, 15):
         p = pendant_ladder_recurrence(n)
@@ -297,7 +305,7 @@ def test_level_sequence_code_matches_the_graph_route():
         for levels in _free_level_sequences(n):
             parents = _level_sequence_parents(levels)
             code = _level_sequence_code(levels)
-            assert code == _tree_code(_parent_rows(parents)), levels
+            assert code == _tree_code(_level_sequence_tree(levels).adj), levels
             second_centre += code != _ahu_code(parents)
     assert second_centre > 0
 
