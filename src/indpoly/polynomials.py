@@ -122,7 +122,9 @@ class IntPoly:
         return result
 
     def shift(self, k: int) -> "IntPoly":
-        """Multiply by x**k."""
+        """Multiply by x**k, for k >= 0."""
+        if k < 0:
+            raise ValueError("shift must be nonnegative")
         if self.is_zero():
             return self
         return IntPoly((0,) * k + self.coeffs)

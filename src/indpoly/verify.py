@@ -18,7 +18,7 @@ import base64
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, pairwise
 from typing import Iterator, NamedTuple, Sequence
 
 from .engine import independence_polynomial, tree_polynomial
@@ -371,40 +371,40 @@ def _next_rooted(levels: list[int], p: int | None = None) -> list[int] | None:
     return out
 
 
-def _split_first_subtree(levels: list[int]) -> tuple[list[int], list[int]]:
-    """The first subtree of the root (levels relative to its own root) and
-    the rest of the tree (the root and its other subtrees)."""
-    m = next((i for i in range(2, len(levels)) if levels[i] == 1), len(levels))
-    return [v - 1 for v in levels[1:m]], [0] + levels[m:]
+def _second_child(levels: Sequence[int]) -> int:
+    """The position of the root's second child in a level sequence, or its
+    length when the root has fewer than two children."""
+    return next((i for i in range(2, len(levels)) if levels[i] == 1), len(levels))
 
 
 def _free_level_sequences(n: int) -> Iterator[list[int]]:
-    """One level sequence per free tree on n vertices, by the algorithm of
-    Wright, Richmond, Odlyzko and McKay (SIAM J. Comput. 15, 1986).
+    """One level sequence per free tree on n >= 1 vertices, by the algorithm
+    of Wright, Richmond, Odlyzko and McKay (SIAM J. Comput. 15, 1986).
 
     The walk visits rooted trees in decreasing level-sequence order from the
     path rooted at its centre.  A rooted tree is kept when its root is a
     centre and, for a bicentral tree, its first subtree is no larger than the
     rest (by size, then by level sequence), so every free tree is kept once;
-    from a rejected tree the walk jumps straight to the next kept one.
+    from a rejected tree the walk jumps straight to the next kept one.  Each
+    sequence is canonical, so the root's first subtree is its tallest.
     """
-    if n == 1:
-        yield [0]
-        return
+    if n < 1:
+        raise ValueError("a tree needs at least 1 vertex")
     levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while levels is not None:
-        left, rest = _split_first_subtree(levels)
-        h_left, h_rest = max(left), max(rest)
-        if h_left > h_rest or (
-            h_left == h_rest and (len(left), left) > (len(rest), rest)
+        m = _second_child(levels)
+        h_first, h_rest = max(levels) - 1, max(levels[m:], default=0)
+        if h_first > h_rest or (
+            h_first == h_rest
+            and (m - 1, [v - 1 for v in levels[1:m]]) > (n - m + 1, [0, *levels[m:]])
         ):
             # advance the last vertex of the first subtree; past depth 2 the
             # tail is reset to a path from the root as deep as that subtree,
             # so that the root stays a centre
-            p = len(left)
+            p = m - 1
             jumped = _next_rooted(levels, p)
             if levels[p] > 2:
-                h = max(_split_first_subtree(jumped)[0])
+                h = max(jumped) - 1
                 jumped[n - h - 1:] = range(1, h + 2)
             levels = jumped
         yield levels
@@ -435,23 +435,21 @@ def free_tree_count(n: int) -> int:
 
 
 def _level_sequence_code(levels: Sequence[int]) -> bytes:
-    """The canonical code of the tree of a level sequence rooted at a centre,
-    the code ``graphs._tree_code`` gives its tree, in one reverse pass.
+    """The canonical code of the tree of a canonical level sequence rooted at
+    a centre, as ``_free_level_sequences`` yields them: the code
+    ``graphs._tree_code`` gives its tree, in one reverse pass.
 
     Each vertex sorts and joins the codes its children left at the next
-    depth, clears them, and leaves its own code at its depth.  With h1 >= h2
-    the two largest heights of the root's subtrees, the tree is bicentral
-    exactly when only one subtree reaches h1 and h1 = h2 + 1; its other
-    centre c heads that subtree.  Rooted at c, the tree has c's child codes
-    plus the root with every child but c, and the smaller rooting is the
-    code.
+    depth, clears them, and leaves its own code at its depth.  The root's
+    first subtree is its tallest, so the tree is bicentral exactly when that
+    subtree reaches one level deeper than every other; its other centre c is
+    then the root's first child, the last vertex of the pass.  Rooted at c,
+    the tree has c's child codes plus the root with every child but c, and
+    the smaller rooting is the code.
     """
-    pending: list[list[bytes]] = [[] for _ in range(max(levels) + 2)]
-    tallest = second = 0
-    top_kids = top_code = None
-    end = len(levels)
-    for i in range(len(levels) - 1, 0, -1):
-        d = levels[i]
+    height = max(levels)
+    pending: list[list[bytes]] = [[] for _ in range(height + 2)]
+    for d in levels[:0:-1]:
         kids = pending[d + 1]
         if kids:
             pending[d + 1] = []
@@ -460,25 +458,16 @@ def _level_sequence_code(levels: Sequence[int]) -> bytes:
         else:
             code = b"()"
         pending[d].append(code)
-        if d == 1:
-            # a child of the root: its subtree runs from i to the next child
-            height = max(levels[i:end])
-            end = i
-            if height > tallest:
-                second, tallest = tallest, height
-                top_kids, top_code = kids or [], code
-            elif height > second:
-                second = height
-    kids = pending[1]
-    kids.sort()
-    code = b"(%s)" % b"".join(kids)
-    if tallest != second + 1:
-        return code
-    rest = list(kids)
-    rest.remove(top_code)
-    other = [*top_kids, b"(%s)" % b"".join(rest)]
+    top = pending[1]
+    top.sort()
+    root_code = b"(%s)" % b"".join(top)
+    if height != max(levels[_second_child(levels):], default=0) + 1:
+        return root_code
+    # kids and code are the root's first child's, from the last step
+    top.remove(code)
+    other = [*kids, b"(%s)" % b"".join(top)]
     other.sort()
-    return min(code, b"(%s)" % b"".join(other))
+    return min(root_code, b"(%s)" % b"".join(other))
 
 
 def _coded_level_sequences(n: int) -> list[tuple[bytes, bytes]]:
@@ -487,12 +476,11 @@ def _coded_level_sequences(n: int) -> list[tuple[bytes, bytes]]:
     takes an int per vertex, so a whole size fits in memory at once.  The
     code is ``_level_sequence_code``, taken on the level sequence itself;
     ``graphs._tree_code`` on the tree's adjacency rows is the graph route
-    that gives the same code."""
-    if n < 1:
-        raise ValueError("a tree needs at least 1 vertex")
+    that gives the same code.  Two trees with one code would be neighbours
+    in the sorted list, so no two neighbours may share a code."""
     coded = [(_level_sequence_code(levels), bytes(levels)) for levels in _free_level_sequences(n)]
     coded.sort()
-    if len({code for code, _ in coded}) != len(coded):
+    if any(a == b for (a, _), (b, _) in pairwise(coded)):
         raise AssertionError("canonical code collision in tree enumeration")
     return coded
 

@@ -65,6 +65,9 @@ def test_compose_examples():
 def test_shift():
     assert poly(1, 2).shift(2) == poly(0, 0, 1, 2)
     assert IntPoly().shift(3).is_zero()
+    for f in (poly(1, 2), IntPoly()):
+        with pytest.raises(ValueError, match="shift must be nonnegative"):
+            f.shift(-1)
 
 
 @given(poly_coeffs, poly_coeffs)

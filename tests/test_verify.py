@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from indpoly import verify
 from indpoly.engine import brute_force_independence_polynomial, independence_polynomial
 from indpoly.graphs import (
     CapacityError,
     FamilySpec,
     GraphError,
     _ahu_code,
+    _tree_centers,
     _tree_code,
     build_family,
     tree_canonical_code,
@@ -36,6 +38,7 @@ from indpoly.verify import (
     _level_sequence_parents,
     _level_sequence_tree,
     _pendant_ladders,
+    _second_child,
     binomial_basis_unimodality_condition,
     composition_log_concavity_condition,
     composition_soundness_scan,
@@ -266,6 +269,19 @@ def test_distinct_tree_counts():
         assert free_tree_count(n) == helpers.KNOWN_TREE_COUNTS[n]
 
 
+def test_tree_enumeration_rejects_an_empty_tree():
+    for enumerate_trees in (free_tree_count, _coded_level_sequences, distinct_trees):
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="a tree needs at least 1 vertex"):
+                enumerate_trees(n)
+
+
+def test_code_collision_is_caught(monkeypatch):
+    monkeypatch.setattr(verify, "_level_sequence_code", lambda levels: b"()")
+    with pytest.raises(AssertionError, match="canonical code collision"):
+        _coded_level_sequences(5)
+
+
 def test_real_rooted_routes_agree_on_ladders_and_trees():
     # the early exit of real_rooted against the full chains, on every tree
     # polynomial up to 12 vertices (both verdicts occur) and the ladders
@@ -299,14 +315,22 @@ def test_scan_matches_the_graph_routes():
 def test_level_sequence_code_matches_the_graph_route():
     # the reverse pass over each level sequence against graphs._tree_code on
     # the tree's adjacency rows, for every free tree up to 16 vertices; some
-    # bicentral trees must take the code of the centre that is not the root
+    # bicentral trees must take the code of the centre that is not the root.
+    # The pass relies on the canonical order: the root's first subtree is
+    # its tallest, and the tree is bicentral exactly when it is one level
+    # taller than the rest, which the peeled centres confirm
     second_centre = 0
     for n in range(1, 17):
         for levels in _free_level_sequences(n):
             parents = _level_sequence_parents(levels)
             code = _level_sequence_code(levels)
-            assert code == _tree_code(_level_sequence_tree(levels).adj), levels
+            tree = _level_sequence_tree(levels)
+            assert code == _tree_code(tree.adj), levels
             second_centre += code != _ahu_code(parents)
+            m = _second_child(levels)
+            assert max(levels[:m]) == max(levels), levels
+            bicentral = max(levels) == max(levels[m:], default=0) + 1
+            assert bicentral == (len(_tree_centers(tree.adj)) == 2), levels
     assert second_centre > 0
 
 
