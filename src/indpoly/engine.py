@@ -2,10 +2,10 @@
 
 Three routes exist on purpose.  ``independence_polynomial`` is the fast path:
 the classic vertex recursion I(G) = I(G-v) + x*I(G-N[v]) over induced-subgraph
-masks, with connected components multiplied separately, edgeless remainders
-short-circuited to (1+x)^k, and results memoized by mask; a component that
-is a tree is solved in one pass by ``tree_dp``, and one whose frontier is
-narrow is handed to the frontier DP below.  ``tree_dp`` folds, with
+masks, with connected components multiplied separately, edgeless masks (one
+component per vertex) taken as (1+x)^k, and results memoized by mask; a
+component that is a tree is solved in one pass by ``tree_dp``, and one whose
+frontier is narrow is handed to the frontier DP below.  ``tree_dp`` folds, with
 ``tree_fold``, the parent array that ``graphs._tree_parents`` walks from
 the tree, the same walk the canonical tree code takes.  The fold also runs
 on its own, on a parent array, as ``tree_polynomial``: the tree scan solves
@@ -32,7 +32,7 @@ has no neighbour in, and a vertex leaves the states once its last neighbour is
 in.  A step with frontier width w touches at most 2^w states, so the sum of
 2^w over the steps estimates the DP's cost before it runs.
 
-Dispatch: a connected, non-edgeless node has its degrees summed once.  If it
+Dispatch: a connected node with an edge has its degrees summed once.  If it
 has one edge fewer than vertices it is a tree, of any size, and ``tree_dp``
 solves it: the tree inputs, the forests' components, the paths left when a
 cycle loses a vertex, and the trees left deep in a dense graph's branching.
@@ -79,39 +79,34 @@ def independence_polynomial(g: Graph, *, _dispatch: bool = True) -> IntPoly:
         hit = memo.get(mask)
         if hit is not None:
             return hit
-        rest = mask
-        while rest:
-            low = rest & -rest
-            if adj[low.bit_length() - 1] & mask:
-                break
-            rest ^= low
-        if not rest:
-            result = one_plus_x ** mask.bit_count()
+        # the split classifies the node: one component per vertex (the empty
+        # mask included) means no edge, and several are solved apart
+        comps = mask_components(adj, mask)
+        size = mask.bit_count()
+        if len(comps) == size:
+            result = one_plus_x ** size
+        elif len(comps) > 1:
+            result = solve(comps[0])
+            for comp in comps[1:]:
+                result *= solve(comp)
         else:
-            comps = mask_components(adj, mask)
-            if len(comps) > 1:
-                result = solve(comps[0])
-                for comp in comps[1:]:
-                    result *= solve(comp)
+            degree_sum, v = _degree_scan(adj, mask)
+            if _dispatch and degree_sum == 2 * size - 2:
+                # connected with size - 1 edges: a tree
+                result = tree_dp(adj, mask, width)
             else:
-                size = mask.bit_count()
-                degree_sum, v = _degree_scan(adj, mask)
-                if _dispatch and degree_sum == 2 * size - 2:
-                    # connected with size - 1 edges: a tree
-                    result = tree_dp(adj, mask, width)
+                steps = bag = None
+                if (_dispatch and size >= _DP_MIN_VERTICES
+                        and degree_sum <= _DP_MAX_MEAN_DEGREE * size):
+                    steps, bag = frontier_order(adj, mask, _DP_BUDGET_PER_VERTEX * size)
+                if steps is not None:
+                    result = frontier_dp(adj, steps, width)
                 else:
-                    steps = bag = None
-                    if (_dispatch and size >= _DP_MIN_VERTICES
-                            and degree_sum <= _DP_MAX_MEAN_DEGREE * size):
-                        steps, bag = frontier_order(adj, mask, _DP_BUDGET_PER_VERTEX * size)
-                    if steps is not None:
-                        result = frontier_dp(adj, steps, width)
-                    else:
-                        if bag is not None:
-                            # removing a vertex of the bag that broke the
-                            # budget narrows exactly that bag
-                            v = max(_bits(bag), key=lambda u: (adj[u] & mask).bit_count())
-                        result = solve(mask & ~(1 << v)) + (solve(mask & ~adj[v] & ~(1 << v)) << width)
+                    if bag is not None:
+                        # removing a vertex of the bag that broke the
+                        # budget narrows exactly that bag
+                        v = max(_bits(bag), key=lambda u: (adj[u] & mask).bit_count())
+                    result = solve(mask & ~(1 << v)) + (solve(mask & ~adj[v] & ~(1 << v)) << width)
         memo[mask] = result
         return result
 

@@ -7,7 +7,6 @@ value objects; all operations are pure functions.
 
 from __future__ import annotations
 
-import heapq
 import re
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
@@ -555,6 +554,8 @@ def tree_canonical_code(g: Graph) -> bytes:
 
 def prufer_decode(seq, n: int) -> Graph:
     """The unique labeled tree on n vertices with the given sequence."""
+    import heapq
+
     seq = list(seq)
     if n < 2:
         raise GraphError("a labeled tree needs at least 2 vertices")

@@ -8,7 +8,7 @@ or fraction type appears here.
 
 from __future__ import annotations
 
-from itertools import pairwise
+from itertools import chain, pairwise
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
@@ -386,31 +386,29 @@ def real_rooted(f: IntPoly) -> bool:
     leading coefficient is not positive; a chain that ends without one is
     real-rooted (see the comment above).  The walk goes on only past
     members one degree apart, so each pseudo-remainder it takes has exactly
-    two steps, fused below into one pass; the members are the integers
-    ``_sturm_chain`` yields.
+    two steps, fused below into one pass that yields the next member
+    directly; the members are the integers ``_sturm_chain`` yields.
     """
     if f.is_zero():
         raise ValueError("real_rooted is undefined for the zero polynomial")
     prev = _primitive(list(f.coeffs))
     if prev[-1] < 0:
         prev = [-c for c in prev]
-    if len(prev) == 1:
-        return True
-    # f' of a positive-leading f is one degree lower with a positive lead
+    # f' is one degree lower with a positive lead; empty if f is constant
     cur = _primitive(_derivative(prev))
     while len(cur) > 1:
         # with g = cur of degree m, f = prev of degree m + 1 and lg = lc(g):
-        # c1 = f_{m+1}, c0 = lg f_m - c1 g_{m-1}, and the remainder is
-        # r_i = lg (lg f_i - c1 g_{i-1}) - c0 g_i for i < m, with g_{-1} = 0
+        # c1 = f_{m+1}, c0 = lg f_m - c1 g_{m-1}, and the next member, the
+        # negated remainder, is c0 g_i - lg (lg f_i - c1 g_{i-1}), g_{-1} = 0
         lg = cur[-1]
         c1 = prev[-1]
         c0 = lg * prev[-2] - c1 * cur[-2]
-        r = [lg * (lg * a - c1 * b) - c0 * c for a, b, c in zip(prev, [0, *cur], cur[:-1])]
-        # the next member is -r: a zero r ends the chain at gcd(f, f') = g,
-        # a zero r_{m-1} drops more than one degree, r_{m-1} > 0 leads negative
-        if r[-1] >= 0:
-            return not any(r)
-        prev, cur = cur, _primitive([-c for c in r])
+        member = [c0 * c - lg * (lg * a - c1 * b) for a, b, c in zip(prev, chain((0,), cur), cur)]
+        member.pop()  # i = m gives c0 lg - lg c0 = 0
+        # zero: the chain ends at g = gcd(f, f'); else a drop > 1 or a lead < 0
+        if member[-1] <= 0:
+            return not any(member)
+        prev, cur = cur, _primitive(member)
     return True
 
 

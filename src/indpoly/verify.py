@@ -17,7 +17,6 @@ from __future__ import annotations
 import base64
 import math
 import random
-from fractions import Fraction
 from itertools import combinations, islice, pairwise
 from typing import Iterator, NamedTuple, Sequence
 
@@ -45,7 +44,6 @@ from .polynomials import (
     property_report,
     real_rooted,
 )
-from .products import lex_poly, rooted_product
 
 
 class HypothesisViolation(GraphError):
@@ -134,6 +132,8 @@ def well_covered_composition_condition(g1: Graph, g2: Graph) -> ConditionVerdict
 
     The verified conclusion is unimodality of the composed polynomial.
     """
+    from .products import lex_poly
+
     i1 = independence_polynomial(g1)
     i2 = independence_polynomial(g2)
     holds = (
@@ -212,6 +212,8 @@ def rooted_tree_product_check(g: Graph, tree: str, root: int) -> ConditionVerdic
     promise real-rootedness, everything else promises log-concavity.  Raises
     when I(g) is not real-rooted, which is the hypothesis.
     """
+    from .products import rooted_product
+
     tree = tree.upper().replace("₁", "1")
     if tree not in _TREE_FAMILY:
         raise ValueError("tree must be 'T' or 'T1'")
@@ -241,6 +243,8 @@ def rooted_product_factor_inequalities(r) -> tuple[bool, bool]:
     Second: the cubic (r+1)x^3 + 3(1+r)x^2 + (3+r)x + 1 is log-concave, via
     the cleared inequalities 9(1+r)^2 > (r+1)(3+r) and (3+r)^2 > 3(1+r).
     """
+    from fractions import Fraction
+
     r = Fraction(r)
     if r <= 0:
         raise ValueError("r must be positive")
@@ -566,6 +570,8 @@ def composition_soundness_scan(
     composition.  Returns counts and the (expectedly empty) failure list;
     raises SamplingError when max_attempts draws accept fewer than `samples`.
     """
+    from .products import lex_poly
+
     if kind not in ("log_concave", "unimodal"):
         raise ValueError("kind must be 'log_concave' or 'unimodal'")
     rng = random.Random(seed)

@@ -100,6 +100,29 @@ def test_every_subcommand_loads_only_the_standard_library(argv, tmp_path):
     assert proc.stdout == "0 True []\n"
 
 
+# the modules that only rarely called functions need
+_LAZY = _RUN_MAIN + (
+    "watched = ('fractions', 'decimal', 'heapq', 'indpoly.products')\n"
+    "print(code, [m for m in watched if m in added])\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "trees", "--nmax", "3", "--jobs", "1"),
+        ("verify", "thm52", "--nmax", "3"),
+        ("verify", "gn", "--nmax", "2"),
+        ("verify", "closedform", "--n", "3"),
+    ],
+    ids=["scan", "verify-thm52", "verify-gn", "verify-closedform"],
+)
+def test_scan_and_verify_load_no_module_they_do_not_run(argv, tmp_path):
+    proc = run_python("-c", _LAZY, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
+
+
 def test_package_names_resolve_on_first_use():
     import importlib
 

@@ -354,6 +354,27 @@ def test_engines_agree_above_brute_force_cap():
         assert independence_polynomial(g) == branching
 
 
+def hypercube(d):
+    return Graph.from_edges(
+        1 << d, [(u, u | 1 << i) for u in range(1 << d) for i in range(d) if not u >> i & 1]
+    )
+
+
+def test_hypercube_counts_match_oeis():
+    # I(Q_d; 1) counts the independent sets of the d-cube: OEIS A027624, an
+    # exact check from outside the repo at 32 and 64 vertices, where brute
+    # force cannot follow.  A largest independent set is one side of the
+    # bipartition, 2^(d-1) vertices; alpha(Q_6) alone takes seconds.
+    counts = [3, 7, 35, 743, 254_475, 19_768_832_143]
+    for d, count in enumerate(counts, 1):
+        g = hypercube(d)
+        poly = independence_polynomial(g)
+        assert sum(poly.coeffs) == count, d
+        assert poly.degree == 2 ** (d - 1), d
+        if d <= 5:
+            assert alpha(g) == 2 ** (d - 1), d
+
+
 def test_dispatch_hands_narrow_components_to_dp(monkeypatch):
     calls = []
     dp = engine.frontier_dp
