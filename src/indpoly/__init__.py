@@ -11,7 +11,6 @@ import importlib
 _PUBLIC = {
     "engine": (
         "brute_force_independence_polynomial",
-        "frontier_independence_polynomial",
         "independence_polynomial",
     ),
     "graphs": (
@@ -25,13 +24,11 @@ _PUBLIC = {
         "components",
         "delete_closed_neighborhood",
         "delete_vertex",
-        "emit_graph6",
         "induced_subgraph",
         "is_claw_free",
         "is_well_covered",
         "parse_edge_list",
         "parse_graph6",
-        "prufer_decode",
         "tree_canonical_code",
     ),
     "polynomials": (

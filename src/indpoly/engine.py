@@ -1,6 +1,6 @@
 """Exact independence polynomial computation.
 
-Three routes exist on purpose.  ``independence_polynomial`` is the fast path:
+Two routes exist on purpose.  ``independence_polynomial`` is the fast path:
 the classic vertex recursion I(G) = I(G-v) + x*I(G-N[v]) over induced-subgraph
 masks, with connected components multiplied separately, edgeless masks (one
 component per vertex) taken as (1+x)^k, and results memoized by mask; a
@@ -10,15 +10,16 @@ frontier is narrow is handed to the frontier DP below.  ``tree_dp`` folds, with
 the tree, the same walk the canonical tree code takes.  The fold also runs
 on its own, on a parent array, as ``tree_polynomial``: the tree scan solves
 its trees that way, with no ``Graph``.
-``frontier_independence_polynomial`` runs the frontier DP alone, with no
-branching, so the two mechanisms check each other on graphs of any size.
 ``brute_force_independence_polynomial`` enumerates every independent set with
-no sharing at all, so it can certify both up to 24 vertices.
+no sharing at all, so it can certify the fast path up to 24 vertices.  Above
+that, ``frontier_order`` and ``frontier_dp``, run alone on a whole graph with
+no branching, give the fast path a second mechanism to be checked against.
 
-Inside both engines a polynomial is packed into one Python int by Kronecker
-substitution: coefficient k sits in bits [k*B, (k+1)*B) with B = n + 2.  Every
-intermediate value counts independent sets of at most n vertices, by size, so
-its coefficients sum to at most 2^n and no slot ever carries into the next.
+Inside the recursion and the frontier DP a polynomial is packed into one
+Python int by Kronecker substitution: coefficient k sits in bits
+[k*B, (k+1)*B) with B = n + 2.  Every intermediate value counts independent
+sets of at most n vertices, by size, so its coefficients sum to at most 2^n
+and no slot ever carries into the next.
 Addition is then one int addition, multiplying by x is a shift by B, and a
 component product is one big-int multiplication.  The packed root value is
 unpacked into an ``IntPoly`` once, at the end.
@@ -113,13 +114,7 @@ def independence_polynomial(g: Graph, *, _dispatch: bool = True) -> IntPoly:
     return _unpack(solve(g.full_mask), width)
 
 
-def frontier_independence_polynomial(g: Graph) -> IntPoly:
-    """Exact I(G;x) by the frontier DP alone, with no branching and no budget."""
-    width = g.n + 2
-    return _unpack(frontier_dp(g.adj, frontier_order(g.adj, g.full_mask)[0], width), width)
-
-
-def frontier_order(adj, mask: int, budget: int | None = None
+def frontier_order(adj, mask: int, budget: int
                    ) -> tuple[list[tuple[int, int]] | None, int | None]:
     """A vertex order of the mask for ``frontier_dp``, as (steps, None): one
     (vertex, forget mask) pair per step, the forget mask naming the vertices
@@ -132,6 +127,8 @@ def frontier_order(adj, mask: int, budget: int | None = None
     least degree starts the next run.  As soon as the sum of 2^(frontier
     width) over the steps passes ``budget``, the order is abandoned and
     (None, bag) returned: the bag is the frontier plus the vertex just added.
+    An order of at most 64 steps of width at most 64 costs at most 2^70, so
+    that budget keeps every order.
 
     Introducing v leaves a frontier of width + (v has a neighbour to come) -
     sole[v], where sole[v] counts the frontier vertices whose only neighbour
@@ -195,7 +192,7 @@ def frontier_order(adj, mask: int, budget: int | None = None
         width = best_size
         steps.append((best_v, forget))
         cost += 1 << best_size
-        if budget is not None and cost > budget:
+        if cost > budget:
             return None, bag
     return steps, None
 

@@ -203,27 +203,6 @@ def parse_graph6(line: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def emit_graph6(g: Graph) -> str:
-    """Encode as graph6; sizes 63..64 use the long size form."""
-    n = g.n
-    if n <= 62:
-        out = [n + 63]
-    else:
-        out = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    acc = 0
-    filled = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | (g.adj[i] >> j & 1)
-            filled += 1
-            if filled == 6:
-                out.append(acc + 63)
-                acc = filled = 0
-    if filled:
-        out.append((acc << (6 - filled)) + 63)
-    return "".join(chr(c) for c in out)
-
-
 # ---------------------------------------------------------------------------
 # Named families
 # ---------------------------------------------------------------------------
@@ -551,31 +530,3 @@ def tree_canonical_code(g: Graph) -> bytes:
         raise GraphError("input is not a tree")
     return _tree_code(g.adj)
 
-
-def prufer_decode(seq, n: int) -> Graph:
-    """The unique labeled tree on n vertices with the given sequence."""
-    import heapq
-
-    seq = list(seq)
-    if n < 2:
-        raise GraphError("a labeled tree needs at least 2 vertices")
-    if len(seq) != n - 2:
-        raise GraphError(f"sequence length {len(seq)} != n-2 = {n - 2}")
-    if any(not (0 <= s < n) for s in seq):
-        raise GraphError("sequence entry out of range")
-    degree = [1] * n
-    for s in seq:
-        degree[s] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for s in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, s))
-        degree[leaf] -= 1
-        degree[s] -= 1
-        if degree[s] == 1:
-            heapq.heappush(leaves, s)
-    u, v = (w for w in range(n) if degree[w] == 1)
-    edges.append((u, v))
-    return Graph.from_edges(n, edges)

@@ -183,9 +183,9 @@ def is_unimodal(f: IntPoly) -> tuple[bool, int | None]:
     """Whether the coefficients rise (weakly) then fall (weakly).
 
     A zero coefficient between positive ones is a dip and fails the test.
-    Returns ``(True, None)`` or ``(False, k)`` where ``k`` is the index of the
-    first coefficient that sits in a dip (strictly below its predecessor with
-    a larger coefficient somewhere later).
+    Returns ``(True, None)`` or ``(False, k)`` where ``k`` is the bottom of
+    the first dip: the first index that comes after a strict fall and sits
+    strictly below the next coefficient.
     """
     cs = f.coeffs
     if any(c < 0 for c in cs):
@@ -230,7 +230,7 @@ def is_symmetric(f: IntPoly) -> bool:
 
 
 def newton_check(f: IntPoly) -> bool:
-    """Newton's inequalities, cleared of fractions.
+    """Newton's inequalities, cleared of denominators.
 
     For degree n >= 2 checks k(n-k) a_k^2 >= (k+1)(n-k+1) a_{k-1} a_{k+1}
     at every interior index; lower degrees are vacuously true.

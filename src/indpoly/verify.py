@@ -148,17 +148,6 @@ def well_covered_composition_condition(g1: Graph, g2: Graph) -> ConditionVerdict
     )
 
 
-def well_covered_coefficient_bound(g: Graph) -> bool:
-    """i_{k-1}(G) <= k * i_k(G) for every 1 <= k <= alpha(G).
-
-    Only meaningful for well-covered graphs; raises if the precondition fails.
-    """
-    if not is_well_covered(g):
-        raise HypothesisViolation("coefficient bound requires a well-covered graph")
-    coeffs = independence_polynomial(g).coeffs
-    return all(coeffs[k - 1] <= k * coeffs[k] for k in range(1, len(coeffs)))
-
-
 def binomial_basis_unimodality_condition(d: Sequence[int], strict: bool = False) -> bool:
     """Whether the nonzero entries of d are increasing (weakly by default).
 
@@ -234,25 +223,6 @@ def rooted_tree_product_check(g: Graph, tree: str, root: int) -> ConditionVerdic
         True,
         conclusion_checked=conclusion,
     )
-
-
-def rooted_product_factor_inequalities(r) -> tuple[bool, bool]:
-    """The two factor facts behind the rooted-tree-product proof, at one r > 0.
-
-    First: the quadratic 1 + (3+2r)x + 2rx^2 has positive discriminant.
-    Second: the cubic (r+1)x^3 + 3(1+r)x^2 + (3+r)x + 1 is log-concave, via
-    the cleared inequalities 9(1+r)^2 > (r+1)(3+r) and (3+r)^2 > 3(1+r).
-    """
-    from fractions import Fraction
-
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError("r must be positive")
-    disc_positive = (3 + 2 * r) ** 2 - 8 * r > 0
-    cubic_log_concave = (
-        9 * (1 + r) ** 2 > (r + 1) * (3 + r) and (3 + r) ** 2 > 3 * (1 + r)
-    )
-    return disc_positive, cubic_log_concave
 
 
 # ---------------------------------------------------------------------------

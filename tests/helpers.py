@@ -1,5 +1,8 @@
 """Shared test utilities: random graphs, exact isomorphism testing, and
 exhaustive isomorphism-free graph corpora for oracle-equivalence checks.
+Routes that no `indpoly` command takes live here too: graph6 encoding,
+Pruefer decoding, the frontier DP alone as a second exact engine, and two
+paper facts checked one instance at a time.
 
 The corpus builder extends each (n-1)-vertex representative by one vertex with
 every possible neighborhood and deduplicates with invariant buckets plus a
@@ -8,11 +11,14 @@ backtracking isomorphism test, so it never needs canonical labeling.
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
-from indpoly.graphs import Graph, _bits
+from indpoly.engine import _unpack, frontier_dp, frontier_order, independence_polynomial
+from indpoly.graphs import Graph, GraphError, _bits, is_well_covered
 from indpoly.polynomials import (
     ONE,
     ONE_PLUS_X,
@@ -25,6 +31,7 @@ from indpoly.polynomials import (
     real_rooted,
     square_free_part,
 )
+from indpoly.verify import HypothesisViolation
 
 # Globally interned refinement colors so colors are comparable across graphs.
 _INTERN: dict = {}
@@ -195,6 +202,19 @@ def random_regular_graph(rng: random.Random, n: int, d: int) -> Graph:
             return Graph.from_edges(n, sorted(edges))
 
 
+# no order of at most 64 steps of width at most 64 costs more than 64 * 2^64,
+# so this budget keeps every order
+NO_BUDGET = 1 << 70
+
+
+def frontier_independence_polynomial(g: Graph) -> IntPoly:
+    """Exact I(G;x) by the frontier DP alone, with no branching; its budget
+    keeps every order."""
+    width = g.n + 2
+    return _unpack(frontier_dp(g.adj, frontier_order(g.adj, g.full_mask, NO_BUDGET)[0], width),
+                   width)
+
+
 def reference_frontier_order(adj, mask: int, budget=None):
     """Slow oracle of the documented ``frontier_order`` rule, scoring every
     candidate from scratch: introduce, among the neighbours of the frontier,
@@ -237,10 +257,84 @@ def reference_frontier_order(adj, mask: int, budget=None):
 
 def all_prufer_trees(n: int):
     """All n^(n-2) labeled trees, by decoding every sequence."""
-    from indpoly.graphs import prufer_decode
-
     for seq in product(range(n), repeat=n - 2):
         yield prufer_decode(seq, n)
+
+
+def prufer_decode(seq, n: int) -> Graph:
+    """The unique labeled tree on n vertices with the given sequence."""
+    seq = list(seq)
+    if n < 2:
+        raise GraphError("a labeled tree needs at least 2 vertices")
+    if len(seq) != n - 2:
+        raise GraphError(f"sequence length {len(seq)} != n-2 = {n - 2}")
+    if any(not (0 <= s < n) for s in seq):
+        raise GraphError("sequence entry out of range")
+    degree = [1] * n
+    for s in seq:
+        degree[s] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for s in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, s))
+        degree[leaf] -= 1
+        degree[s] -= 1
+        if degree[s] == 1:
+            heapq.heappush(leaves, s)
+    u, v = (w for w in range(n) if degree[w] == 1)
+    edges.append((u, v))
+    return Graph.from_edges(n, edges)
+
+
+def emit_graph6(g: Graph) -> str:
+    """Encode as graph6; sizes 63..64 use the long size form."""
+    n = g.n
+    if n <= 62:
+        out = [n + 63]
+    else:
+        out = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+    acc = 0
+    filled = 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = (acc << 1) | (g.adj[i] >> j & 1)
+            filled += 1
+            if filled == 6:
+                out.append(acc + 63)
+                acc = filled = 0
+    if filled:
+        out.append((acc << (6 - filled)) + 63)
+    return "".join(chr(c) for c in out)
+
+
+def well_covered_coefficient_bound(g: Graph) -> bool:
+    """i_{k-1}(G) <= k * i_k(G) for every 1 <= k <= alpha(G).
+
+    Only meaningful for well-covered graphs; raises if the precondition fails.
+    """
+    if not is_well_covered(g):
+        raise HypothesisViolation("coefficient bound requires a well-covered graph")
+    coeffs = independence_polynomial(g).coeffs
+    return all(coeffs[k - 1] <= k * coeffs[k] for k in range(1, len(coeffs)))
+
+
+def rooted_product_factor_inequalities(r) -> tuple[bool, bool]:
+    """The two factor facts behind the rooted-tree-product proof, at one r > 0.
+
+    First: the quadratic 1 + (3+2r)x + 2rx^2 has positive discriminant.
+    Second: the cubic (r+1)x^3 + 3(1+r)x^2 + (3+r)x + 1 is log-concave, via
+    the cleared inequalities 9(1+r)^2 > (r+1)(3+r) and (3+r)^2 > 3(1+r).
+    """
+    r = Fraction(r)
+    if r <= 0:
+        raise ValueError("r must be positive")
+    disc_positive = (3 + 2 * r) ** 2 - 8 * r > 0
+    cubic_log_concave = (
+        9 * (1 + r) ** 2 > (r + 1) * (3 + r) and (3 + r) ** 2 > 3 * (1 + r)
+    )
+    return disc_positive, cubic_log_concave
 
 
 def count_trees_by_pairwise_iso(n: int) -> int:

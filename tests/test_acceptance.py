@@ -13,6 +13,7 @@ from itertools import product as iterproduct
 import pytest
 
 import helpers
+from helpers import well_covered_coefficient_bound
 from indpoly.engine import brute_force_independence_polynomial, independence_polynomial
 from indpoly.graphs import (
     FamilySpec,
@@ -45,7 +46,6 @@ from indpoly.verify import (
     pendant_ladder_trig_check,
     rooted_tree_product_check,
     tree_scan,
-    well_covered_coefficient_bound,
 )
 
 
@@ -65,7 +65,8 @@ def ip(g):
 @pytest.fixture(scope="module")
 def oracle_pool():
     """Criterion 3 workload: exhaustive n<=8 graph6 corpus plus 500 randoms."""
-    from indpoly.graphs import emit_graph6, parse_graph6
+    from helpers import emit_graph6
+    from indpoly.graphs import parse_graph6
 
     t0 = time.perf_counter()
     # materialize the corpus as graph6 lines, then work from the decoded form

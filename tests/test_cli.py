@@ -1,3 +1,4 @@
+import ast
 import functools
 import hashlib
 import json
@@ -11,7 +12,8 @@ import pytest
 
 from indpoly import cli
 from indpoly.cli import load_graph_source, parse_family_token
-from indpoly.graphs import FAMILIES, CapacityError, Graph, emit_graph6
+from helpers import emit_graph6
+from indpoly.graphs import FAMILIES, CapacityError, Graph
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -137,6 +139,57 @@ def test_package_names_resolve_on_first_use():
     assert lex_poly is importlib.import_module("indpoly.products").lex_poly
     with pytest.raises(AttributeError):
         indpoly.no_such_name
+
+
+# public names that no code in src calls, each with its reason to stay
+_UNCALLED_PUBLIC = {
+    "brute_force_independence_polynomial": "the oracle of the engine up to 24 vertices",
+    "count_distinct_real_roots": "the square-free route that checks real_rooted",
+    "tree_canonical_code": "the benchmark's tracer counts its calls (ROADMAP item 7)",
+    "is_claw_free": "the theorem-backed oracles of ROADMAP item 2 call it",
+    "multipartite_poly": "the partition sweep of ROADMAP item 9 calls it",
+    "shift_basis": "the partition sweep of ROADMAP item 9 calls it",
+}
+
+
+class _Uses(ast.NodeVisitor):
+    """The names a module uses outside their own definitions: as a name, an
+    attribute, or a string (the product table looks functions up by name)."""
+
+    def __init__(self):
+        self.inside, self.used = [], set()
+
+    def visit_FunctionDef(self, node):
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def _use(self, name):
+        if name not in self.inside:
+            self.used.add(name)
+
+    def visit_Name(self, node):
+        self._use(node.id)
+
+    def visit_Attribute(self, node):
+        self._use(node.attr)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str):
+            self._use(node.value)
+
+
+def test_every_public_name_has_a_caller_in_src():
+    import indpoly
+
+    uses = _Uses()
+    for path in Path(indpoly.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":  # it only declares the names
+            uses.visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert set(indpoly._MODULE_OF) - uses.used == set(_UNCALLED_PUBLIC)
 
 
 def test_readme_library_snippet_runs():

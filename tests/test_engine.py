@@ -4,10 +4,10 @@ from math import comb
 import pytest
 
 import helpers
+from helpers import NO_BUDGET, frontier_independence_polynomial, prufer_decode
 from indpoly import engine
 from indpoly.engine import (
     brute_force_independence_polynomial,
-    frontier_independence_polynomial,
     frontier_order,
     independence_polynomial,
 )
@@ -20,7 +20,6 @@ from indpoly.graphs import (
     components,
     delete_closed_neighborhood,
     delete_vertex,
-    prufer_decode,
 )
 from indpoly.polynomials import ONE_PLUS_X, IntPoly
 from indpoly.products import disjoint_union, join
@@ -190,14 +189,14 @@ def test_frontier_order_width():
     # a weaker ordering heuristic fails here without any clock
     rng = random.Random(88)
     for g in (grid(8, 8), relabeled(rng, grid(8, 8))):
-        assert max(frontier_widths(g, frontier_order(g.adj, g.full_mask)[0])) <= 8
+        assert max(frontier_widths(g, frontier_order(g.adj, g.full_mask, NO_BUDGET)[0])) <= 8
     for g in (fam("cycle", 40), fam("path", 64), relabeled(rng, fam("cycle", 40))):
-        assert max(frontier_widths(g, frontier_order(g.adj, g.full_mask)[0])) <= 2
+        assert max(frontier_widths(g, frontier_order(g.adj, g.full_mask, NO_BUDGET)[0])) <= 2
 
 
 def test_frontier_order_budget():
     g = grid(8, 8)
-    steps, bag = frontier_order(g.adj, g.full_mask)
+    steps, bag = frontier_order(g.adj, g.full_mask, NO_BUDGET)
     assert bag is None
     cost = sum(1 << w for w in frontier_widths(g, steps))
     assert frontier_order(g.adj, g.full_mask, budget=cost) == (steps, None)
@@ -240,7 +239,7 @@ def test_frontier_order_matches_reference_rule():
     assert len(cases) >= 40
     for g, mask in cases:
         steps, _ = helpers.reference_frontier_order(g.adj, mask)
-        assert frontier_order(g.adj, mask) == (steps, None)
+        assert frontier_order(g.adj, mask, NO_BUDGET) == (steps, None)
         assert sorted(v for v, _ in steps) == [v for v in range(g.n) if mask >> v & 1]
         cost = order_cost(steps)
         assert frontier_order(g.adj, mask, cost) == (steps, None)

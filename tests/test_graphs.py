@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import emit_graph6, prufer_decode
 from indpoly.graphs import (
     FAMILIES,
     CapacityError,
@@ -22,13 +23,11 @@ from indpoly.graphs import (
     components,
     delete_closed_neighborhood,
     delete_vertex,
-    emit_graph6,
     induced_subgraph,
     is_claw_free,
     is_well_covered,
     parse_edge_list,
     parse_graph6,
-    prufer_decode,
     tree_canonical_code,
 )
 

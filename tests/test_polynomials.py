@@ -1,6 +1,9 @@
 import math
+import operator
 import pickle
 import random
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -379,3 +382,76 @@ def test_property_report_implication_chain_on_random_real_rooted():
             f = f * poly(rng.randint(1, 9), rng.randint(1, 9))
         r = property_report(f)
         assert r.real_rooted and r.newton_ok and r.log_concave and r.unimodal
+
+
+# ---------------------------------------------------------------------------
+# every short sequence against the definitions
+# ---------------------------------------------------------------------------
+
+
+def _unimodal_by_definition(cs):
+    # some m has a nondecreasing prefix up to m and a nonincreasing suffix from m
+    n = len(cs)
+    return any(all(cs[i] <= cs[i + 1] for i in range(m))
+               and all(cs[i] >= cs[i + 1] for i in range(m, n - 1))
+               for m in range(n))
+
+
+def _first_dip_bottom(cs):
+    # the first index that comes after a strict fall and sits strictly below
+    # the next entry
+    fell = False
+    for k in range(len(cs) - 1):
+        if fell and cs[k] < cs[k + 1]:
+            return k
+        fell = fell or cs[k] > cs[k + 1]
+    return None
+
+
+def _first_interior_failure(cs, holds):
+    # the first interior k where holds(a_k^2, a_{k-1} a_{k+1}) is false
+    return next((k for k in range(1, len(cs) - 1)
+                 if not holds(cs[k] * cs[k], cs[k - 1] * cs[k + 1])), None)
+
+
+def _newton_by_definition(cs):
+    # b_k = a_k / C(n, k) has b_k^2 >= b_{k-1} b_{k+1} for every 0 < k < n
+    n = len(cs) - 1
+    b = [Fraction(a, math.comb(n, k)) for k, a in enumerate(cs)]
+    return all(b[k] * b[k] >= b[k - 1] * b[k + 1] for k in range(1, n))
+
+
+def test_sequence_predicates_match_their_definitions():
+    # every sequence of length 1..7 with entries 0..4 (97,655 of them);
+    # IntPoly trims trailing zeros, so the 78,124 with a nonzero top are every
+    # distinct input.  Plateaus, square equalities and inner zeros all occur
+    # here, where the independence polynomials of the corpora rarely have them.
+    report = property_report(poly(1, 0, 0, 1))
+    assert report.log_concave and not report.unimodal
+    checked = 0
+    for n in range(1, 8):
+        for cs in product(range(5), repeat=n):
+            if not cs[-1]:
+                continue
+            f = IntPoly(cs)
+            assert f.coeffs == cs
+            uni = _unimodal_by_definition(cs)
+            dip = None if uni else _first_dip_bottom(cs)
+            weak = _first_interior_failure(cs, operator.ge)
+            strict = _first_interior_failure(cs, operator.gt)
+            newton = _newton_by_definition(cs)
+            assert is_unimodal(f) == (uni, dip), cs
+            assert is_log_concave(f) == (weak is None, weak), cs
+            assert is_log_concave(f, strict=True) == (strict is None, strict), cs
+            assert newton_check(f) == newton, cs
+            # no implication between the verdicts is assumed: with zeros,
+            # 1 + x^3 is log-concave and Newton but has a dip
+            report = property_report(f)
+            witnesses = {"unimodal": dip, "log_concave": weak, "strictly_log_concave": strict}
+            assert report.first_violation == {k: v for k, v in witnesses.items() if v is not None}
+            assert (report.unimodal, report.log_concave, report.strictly_log_concave,
+                    report.newton_ok) == (uni, weak is None, strict is None, newton), cs
+            assert report.symmetric == (cs == cs[::-1])
+            assert report.mode_index == cs.index(max(cs))
+            checked += 1
+    assert checked == 78_124

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from helpers import rooted_product_factor_inequalities, well_covered_coefficient_bound
 from indpoly import verify
 from indpoly.engine import brute_force_independence_polynomial, independence_polynomial
 from indpoly.graphs import (
@@ -17,10 +18,13 @@ from indpoly.graphs import (
     _ahu_code,
     _tree_centers,
     _tree_code,
+    alpha,
     build_family,
+    components,
     tree_canonical_code,
 )
 from indpoly.polynomials import (
+    X,
     IntPoly,
     coeffs_as_strings,
     is_log_concave,
@@ -50,13 +54,11 @@ from indpoly.verify import (
     pendant_ladder_graph_check,
     pendant_ladder_recurrence,
     pendant_ladder_trig_check,
-    rooted_product_factor_inequalities,
     rooted_tree_product_check,
     scan_result_to_json,
     tree_factor_identities,
     tree_scan,
     well_covered_composition_condition,
-    well_covered_coefficient_bound,
 )
 
 
@@ -181,6 +183,20 @@ def test_factor_inequalities():
         assert rooted_product_factor_inequalities(r) == (True, True)
 
 
+def test_factor_inequalities_hold_for_every_positive_r():
+    # each fact is an integer polynomial in r with positive coefficients,
+    # so it is positive at every r > 0
+    r = X
+    facts = [
+        ((3 + 2 * r) ** 2 - 8 * r, IntPoly((9, 4, 4))),
+        (9 * (1 + r) ** 2 - (r + 1) * (3 + r), (1 + r) * (6 + 8 * r)),
+        ((3 + r) ** 2 - 3 * (1 + r), IntPoly((6, 3, 1))),
+    ]
+    for fact, closed_form in facts:
+        assert fact == closed_form
+        assert fact.coeffs and all(c > 0 for c in fact.coeffs)
+
+
 def test_factor_discriminants_match_quadratic():
     # disc > 0 really does make 1+(3+2r)x+2rx^2 real-rooted at integer r
     from indpoly.polynomials import real_rooted
@@ -210,6 +226,19 @@ def test_recurrence_matches_engine():
         assert independence_polynomial(g) == pendant_ladder_recurrence(n), n
     # the one-pass check, up to the last G_n under the vertex cap
     assert pendant_ladder_graph_check(31) == [{"n": n, "match": True} for n in range(32)]
+
+
+def test_pendant_ladders_answer_the_open_problem():
+    # the abstract's last claim: for every odd alpha > 3, a connected graph
+    # that is not a tree, with I symmetric and real-rooted; G_n, n = alpha - 1,
+    # is one for alpha = 5..31, with alpha found apart from the engine
+    for n in range(4, 31, 2):
+        g = fam("pendant_ladder_g", n)
+        assert len(components(g)) == 1, n
+        assert g.edge_count() >= g.n, n
+        poly = independence_polynomial(g)
+        assert alpha(g) == n + 1 == poly.degree, n
+        assert is_symmetric(poly) and real_rooted(poly), n
 
 
 def test_family_check_rows():
