@@ -7,7 +7,6 @@ value objects; all operations are pure functions.
 
 from __future__ import annotations
 
-import re
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
 
@@ -75,9 +74,6 @@ class Graph(NamedTuple):
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def closed_neighborhood(self, v: int) -> int:
-        return self.adj[v] | (1 << v)
-
 
 def _bits(mask: int):
     """Iterate set bit positions, lowest first."""
@@ -97,28 +93,18 @@ def _check_vertex(g: Graph, v: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-# one line of a string and the "\n", "\r\n" or "\r" that ends it, split as a
-# file opened in text mode splits it; the end of the string ends the last line
-# and then matches once more, as an empty line
-_LINE = re.compile(r"([^\r\n]*)(?:\r\n|[\r\n]|\Z)")
-
-
-def parse_edge_list(source: str | Iterable[str]) -> Graph:
-    """Parse the "n m" / "u v" edge-list format from a string, or from an
-    open text file or any other iterable of lines, read one line at a time.
+def parse_edge_list(lines: Iterable[str]) -> Graph:
+    """Parse the "n m" / "u v" edge-list format from an iterable of lines,
+    such as an open text file or ``io.StringIO(text, newline=None)``.
 
     Blank lines and lines starting with '#' are ignored.  Duplicate edges are
-    permitted; every diagnostic names its 1-based line number.  Each edge is
-    folded into the adjacency rows as it is read, and a string is split into
-    lines lazily by `_LINE`, at "\n", "\r\n" or "\r" as text mode splits
-    them, so the input is held in memory proportional to n, whatever its
-    length.
+    permitted; every diagnostic names its 1-based line number.  Lines are
+    read one at a time and each edge is folded into the adjacency rows, so
+    the input is held in memory proportional to n, whatever its length.
     """
     adj: list[int] | None = None  # None until the header is read
     n = m = seen = 0
-    if isinstance(source, str):
-        source = (match[1] for match in _LINE.finditer(source))
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -164,7 +150,8 @@ def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line (6-bit chunks, column-major upper triangle).
 
     The size field is read first.  It is checked against the cap, and the
-    exact length it implies against the string, before the body is read."""
+    exact length it implies against the string, before the body is read;
+    each body byte is then checked and written into the rows as it is read."""
     s = line.strip("\r\n\t ")
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
@@ -187,20 +174,18 @@ def parse_graph6(line: str) -> Graph:
         raise GraphParseError(f"graph6 body too short: need {need} bytes, got {got}")
     if got > need:
         raise GraphParseError("trailing garbage after graph6 body")
-    bits = []
+    adj = [0] * n
+    # the pair of each body bit, column by column; bits past the last are padding
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
     for pos in range(len(size), len(s)):
         val = ord(s[pos]) - 63
         if not (0 <= val <= 63):
             raise GraphParseError(f"graph6 byte {pos}: character out of range 63..126")
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph.from_edges(n, edges)
+        for shift, (i, j) in zip(range(5, -1, -1), pairs):
+            if val >> shift & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return Graph(n, tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +315,7 @@ def delete_vertex(g: Graph, v: int) -> Graph:
 
 def delete_closed_neighborhood(g: Graph, v: int) -> Graph:
     _check_vertex(g, v)
-    return induced_subgraph(g, g.full_mask & ~g.closed_neighborhood(v))
+    return induced_subgraph(g, g.full_mask & ~(g.adj[v] | 1 << v))
 
 
 def mask_components(adj, mask: int) -> list[int]:

@@ -87,12 +87,6 @@ class IntPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -214,12 +208,13 @@ def _log_concave_failures(cs) -> tuple[int | None, int | None]:
     return None, strict_at
 
 
-def is_log_concave(f: IntPoly, strict: bool = False) -> tuple[bool, int | None]:
-    """Check a_k^2 >= a_{k-1} a_{k+1} for interior k (strict: >).
+def is_log_concave(f: IntPoly) -> tuple[bool, int | None]:
+    """Check a_k^2 >= a_{k-1} a_{k+1} for interior k.
 
     Boundary indices are vacuous.  Returns the first failing k on failure.
+    Strict log-concavity, with its first failing k, is in ``property_report``.
     """
-    at = _log_concave_failures(f.coeffs)[strict]
+    at = _log_concave_failures(f.coeffs)[0]
     return at is None, at
 
 

@@ -33,86 +33,86 @@ from indpoly.polynomials import (
 )
 from indpoly.verify import HypothesisViolation
 
-# Globally interned refinement colors so colors are comparable across graphs.
-_INTERN: dict = {}
-_WL_ROUNDS = 3
+def vertex_colors(g: Graph) -> list[int]:
+    """An isomorphism-invariant color per vertex: its degree and its count of
+    neighbours of each degree d, packed into one int, the count in bits
+    6(d+1) to 6(d+2) (no count passes 63 on 64 vertices)."""
+    degrees = [row.bit_count() for row in g.adj]
+    weight = [1 << 6 * d + 6 for d in degrees]
+    colors = []
+    for color, row in zip(degrees, g.adj):
+        while row:
+            low = row & -row
+            color += weight[low.bit_length() - 1]
+            row ^= low
+        colors.append(color)
+    return colors
 
 
-def _intern(key) -> int:
-    value = _INTERN.get(key)
-    if value is None:
-        value = len(_INTERN)
-        _INTERN[key] = value
-    return value
+def _match_plan(g: Graph, colors: list[int]) -> list[tuple[int, int, list[int]]]:
+    """How a backtracking search maps g onto a graph of the same multiset of
+    colors, fixed once per graph.  The vertices are mapped in order, rare
+    colors first and high degree breaking ties; the i-th gets a triple:
+    the span its color takes in the other graph's vertices sorted by color,
+    and the positions of its neighbours mapped before it."""
+    frequency = Counter(colors)
+    order = sorted(range(g.n), key=lambda v: (frequency[colors[v]], -g.degree(v), v))
+    position = [0] * g.n
+    for i, v in enumerate(order):
+        position[v] = i
+    ranked = sorted(colors)
+    return [
+        (ranked.index(colors[v]), ranked.index(colors[v]) + frequency[colors[v]],
+         [position[w] for w in _bits(g.adj[v]) if position[w] < i])
+        for i, v in enumerate(order)
+    ]
 
 
-def wl_colors(g: Graph) -> tuple[int, ...]:
-    """Iterated neighborhood refinement colors (isomorphism-invariant)."""
-    neighbors = [list(_bits(row)) for row in g.adj]
-    colors = [_intern(("deg", len(ns))) for ns in neighbors]
-    for _ in range(_WL_ROUNDS):
-        colors = [
-            _intern((color, tuple(sorted([colors[w] for w in ns]))))
-            for color, ns in zip(colors, neighbors)
-        ]
-    return tuple(colors)
+def _maps_onto(plan, adj, by_color: list[int]) -> bool:
+    """Whether the planned graph maps onto the graph with adjacency rows
+    ``adj``, whose vertices ``by_color`` lists sorted by color.  The i-th
+    planned vertex may go to an unused vertex u of its color only if u's
+    neighbours among the used vertices are exactly the images of its earlier
+    neighbours, so every complete mapping is an isomorphism."""
+    n = len(plan)
+    image = [0] * n  # the image of each position, as a one-bit mask
 
-
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test by color-pruned backtracking."""
-    return _isomorphic(g1, wl_colors(g1), g2, wl_colors(g2))
-
-
-def _isomorphic(g1: Graph, c1: tuple[int, ...], g2: Graph, c2: tuple[int, ...]) -> bool:
-    """`are_isomorphic` given each graph's `wl_colors`."""
-    if g1.n != g2.n or g1.edge_count() != g2.edge_count():
-        return False
-    if sorted(c1) != sorted(c2):
-        return False
-    n = g1.n
-    # map rare colors first, high degree breaking ties
-    frequency = Counter(c1)
-    order = sorted(range(n), key=lambda v: (frequency[c1[v]], -g1.degree(v), v))
-    candidates = [[u for u in range(n) if c2[u] == c1[v]] for v in range(n)]
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
+    def extend(i: int, used: int) -> bool:
         if i == n:
             return True
-        v = order[i]
-        for u in candidates[v]:
-            if used[u]:
-                continue
-            ok = True
-            for w in order[:i]:
-                if g1.has_edge(v, w) != g2.has_edge(u, mapping[w]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = u
-                used[u] = True
-                if extend(i + 1):
+        lo, hi, earlier = plan[i]
+        need = 0
+        for j in earlier:
+            need |= image[j]
+        for u in by_color[lo:hi]:
+            bit = 1 << u
+            if not used & bit and adj[u] & used == need:
+                image[i] = bit
+                if extend(i + 1, used | bit):
                     return True
-                used[u] = False
-                mapping[v] = -1
         return False
 
-    return extend(0)
+    return extend(0, 0)
 
 
 def iso_dedup(graphs) -> list[Graph]:
-    """Representatives of the isomorphism classes present in the input."""
-    # each bucket keeps (representative, its colors), so no graph is colored twice
-    buckets: dict[tuple, list[tuple[Graph, tuple[int, ...]]]] = {}
+    """Representatives of the isomorphism classes present in the input, in
+    order of first appearance: every graph is matched against the
+    representatives of its bucket, the graphs with the same multiset of
+    colors, until one maps onto it."""
+    # each bucket keeps its representatives' match plans, so no graph is
+    # colored or planned twice
+    buckets: dict[tuple, list] = {}
     reps: list[Graph] = []
     for g in graphs:
-        colors = wl_colors(g)
-        key = (g.n, g.edge_count(), tuple(sorted(colors)))
-        bucket = buckets.setdefault(key, [])
-        if not any(_isomorphic(g, colors, rep, rep_colors) for rep, rep_colors in bucket):
-            bucket.append((g, colors))
-            reps.append(g)
+        colors = vertex_colors(g)
+        bucket = buckets.setdefault(tuple(sorted(colors)), [])
+        if bucket:
+            by_color = sorted(range(g.n), key=colors.__getitem__)
+            if any(_maps_onto(plan, g.adj, by_color) for plan in bucket):
+                continue
+        bucket.append(_match_plan(g, colors))
+        reps.append(g)
     return reps
 
 
@@ -120,25 +120,18 @@ def graph_corpus(max_n: int) -> dict[int, list[Graph]]:
     """All graphs on 1..max_n vertices up to isomorphism."""
     levels: dict[int, list[Graph]] = {1: [Graph.from_edges(1, [])]}
     for n in range(2, max_n + 1):
-        buckets: dict[tuple, list[tuple[Graph, tuple[int, ...]]]] = {}
-        out: list[Graph] = []
-        new_bit = 1 << (n - 1)
-        for parent in levels[n - 1]:
-            for subset in range(1 << (n - 1)):
-                adj = [
-                    row | (new_bit if subset >> v & 1 else 0)
-                    for v, row in enumerate(parent.adj)
-                ]
-                adj.append(subset)
-                g = Graph(n, tuple(adj))
-                colors = wl_colors(g)
-                key = (g.edge_count(), tuple(sorted(colors)))
-                bucket = buckets.setdefault(key, [])
-                if not any(_isomorphic(g, colors, rep, rep_colors) for rep, rep_colors in bucket):
-                    bucket.append((g, colors))
-                    out.append(g)
-        levels[n] = out
+        levels[n] = iso_dedup(_one_vertex_more(levels[n - 1]))
     return levels
+
+
+def _one_vertex_more(parents):
+    # each graph extended by a last vertex with every possible neighborhood
+    for parent in parents:
+        new_bit = 1 << parent.n
+        for subset in range(new_bit):
+            adj = [row | (new_bit if subset >> v & 1 else 0) for v, row in enumerate(parent.adj)]
+            adj.append(subset)
+            yield Graph(parent.n + 1, tuple(adj))
 
 
 # Isomorphism class counts for simple graphs on 1..8 vertices.

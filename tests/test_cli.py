@@ -297,6 +297,30 @@ def test_poly_parse_error_exit_2(tmp_path):
     assert "line 2" in proc.stderr
 
 
+@pytest.mark.parametrize("sep", [b"\n", b"\r\n", b"\r"])
+def test_poly_file_line_endings(sep, tmp_path):
+    # written in binary, so each ending reaches the parser unchanged
+    lines = [b"# C4", b"4 4", b"", b"0 1", b"1 2", b"2 3", b"3 0"]
+    path = tmp_path / "c4.txt"
+    path.write_bytes(sep.join(lines) + sep)
+    assert run_json("poly", "--file", str(path))["coeffs"] == ["1", "4", "2"]
+    lines[-1] = b"3 9"
+    path.write_bytes(sep.join(lines))
+    proc = run_cli("poly", "--file", str(path))
+    assert proc.returncode == 2
+    assert "line 7: vertex index out of range" in proc.stderr
+
+
+def test_poly_file_torn_line_endings_exit_2(tmp_path):
+    # "\r\n" ends line 1 and "\r\r" leaves a blank line 3, so the second
+    # edge is on line 4
+    path = tmp_path / "torn.txt"
+    path.write_bytes(b"2 1\r\n0 1\r\r0 1\n")
+    proc = run_cli("poly", "--file", str(path))
+    assert proc.returncode == 2
+    assert "line 4: more than 1 edge lines" in proc.stderr
+
+
 def test_poly_missing_file_exit_4(tmp_path):
     for path in (str(tmp_path / "absent.txt"), ""):
         proc = run_cli("poly", "--file", path)

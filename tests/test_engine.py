@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -412,6 +413,37 @@ def test_dispatch_gates_components_on_mean_degree(monkeypatch):
         assert independence_polynomial(g) == independence_polynomial(g, _dispatch=False)
         assert (g.full_mask in ordered) == root_ordered
         assert ordered
+
+
+def test_engine_work_is_pinned(monkeypatch):
+    # exact work counts through the names `solve` looks up at call time, so
+    # a change to the dispatch gates or to the bag branching shows without
+    # timing noise: (orders accepted, orders rejected over budget, DP calls,
+    # tree_dp calls)
+    counts = Counter()
+    order, dp, tree = engine.frontier_order, engine.frontier_dp, engine.tree_dp
+
+    def counted_order(adj, mask, budget):
+        steps, bag = order(adj, mask, budget)
+        counts["rejected" if steps is None else "accepted"] += 1
+        return steps, bag
+
+    monkeypatch.setattr(engine, "frontier_order", counted_order)
+    monkeypatch.setattr(engine, "frontier_dp", lambda *args: counts.update(["dp"]) or dp(*args))
+    monkeypatch.setattr(engine, "tree_dp", lambda *args: counts.update(["tree"]) or tree(*args))
+    cases = [
+        (grid(8, 8), (1, 0, 1, 0)),  # the root goes to the DP
+        (fam("cycle", 40), (1, 0, 1, 0)),
+        (fam("path", 64), (0, 0, 0, 1)),  # the root goes to tree_dp
+        # bag branching on a sparse graph that no single order fits
+        (helpers.random_regular_graph(random.Random(1), 64, 4), (53, 52, 53, 0)),
+        # mean degree 7.5: branching crosses the gate before anything is ordered
+        (helpers.random_graph(random.Random(2), 40, 0.2), (10, 3, 10, 12)),
+    ]
+    for g, expected in cases:
+        counts.clear()
+        independence_polynomial(g)
+        assert (counts["accepted"], counts["rejected"], counts["dp"], counts["tree"]) == expected
 
 
 # ---------------------------------------------------------------------------

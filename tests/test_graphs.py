@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import emit_graph6, prufer_decode
+from indpoly.cli import load_graph_source
 from indpoly.graphs import (
     FAMILIES,
     CapacityError,
@@ -71,17 +72,23 @@ def check_invariants(g: Graph):
 # ---------------------------------------------------------------------------
 
 
+def text_lines(text: str) -> io.StringIO:
+    """The lines of a string, split at "\n", "\r\n" and "\r" as a file
+    opened in text mode splits them."""
+    return io.StringIO(text, newline=None)
+
+
 def test_parse_edge_list_examples():
-    k2 = parse_edge_list("2 1\n0 1")
+    k2 = parse_edge_list(text_lines("2 1\n0 1"))
     assert k2.n == 2 and k2.edge_count() == 1
-    c4 = parse_edge_list("4 4\n0 1\n1 2\n2 3\n3 0")
+    c4 = parse_edge_list(text_lines("4 4\n0 1\n1 2\n2 3\n3 0"))
     assert c4.n == 4 and all(c4.degree(v) == 2 for v in range(4))
-    k1 = parse_edge_list("1 0")
+    k1 = parse_edge_list(text_lines("1 0"))
     assert k1.n == 1 and k1.edge_count() == 0
 
 
 def test_parse_edge_list_comments_and_duplicates():
-    g = parse_edge_list("# header comment\n3 2\n0 1\n\n# mid comment\n0 1\n")
+    g = parse_edge_list(text_lines("# header comment\n3 2\n0 1\n\n# mid comment\n0 1\n"))
     assert g.edge_count() == 1  # duplicate edge is idempotent
     assert g.n == 3
 
@@ -103,7 +110,7 @@ def test_parse_edge_list_errors(text, fragment):
     # a well-formed header over the cap is a capacity error, not a parse error
     error = CapacityError if fragment == "exceeds" else GraphParseError
     with pytest.raises(error, match=fragment):
-        parse_edge_list(text)
+        parse_edge_list(text_lines(text))
 
 
 def test_parse_edge_list_streams_lines():
@@ -140,12 +147,15 @@ def test_parse_edge_list_memory_is_bounded_by_n(tmp_path):
     assert peak < 1_000_000
 
 
-def test_parse_edge_list_string_is_read_lazily():
-    # a string is split into lines one at a time, not all at once
-    text = "2 100000\r\n" + "0 1\r\n" * 100_000
+def test_parse_edge_list_string_is_read_lazily(tmp_path):
+    # a "\r\n" file read in text mode is split into lines one at a time,
+    # not all at once
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(b"2 100000\r\n" + b"0 1\r\n" * 100_000)
     tracemalloc.start()
     try:
-        g = parse_edge_list(text)
+        with open(path, encoding="utf-8") as handle:
+            g = parse_edge_list(handle)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -157,30 +167,38 @@ def test_parse_edge_list_string_is_read_lazily():
 def test_parse_edge_list_string_line_endings(sep):
     lines = ["# path", "3 2", "", "0 1", "1 2"]
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    assert parse_edge_list(sep.join(lines)) == path
-    assert parse_edge_list(sep.join(lines) + sep) == path
+    assert parse_edge_list(text_lines(sep.join(lines))) == path
+    assert parse_edge_list(text_lines(sep.join(lines) + sep)) == path
     lines[-1] = "1 7"
     with pytest.raises(GraphParseError, match="line 5: vertex index out of range"):
-        parse_edge_list(sep.join(lines))
+        parse_edge_list(text_lines(sep.join(lines)))
     # mixed separators: "\r\r" leaves a blank line 3
     with pytest.raises(GraphParseError, match="line 4: more than 1 edge lines"):
-        parse_edge_list("2 1\r\n0 1\r\r0 1\n")
+        parse_edge_list(text_lines("2 1\r\n0 1\r\r0 1\n"))
 
 
-def _parse_outcome(source):
+def _parse_outcome(load):
     try:
-        return parse_edge_list(source)
+        return load()
     except GraphError as exc:
         return type(exc), str(exc)
 
 
-@given(st.lists(st.sampled_from(["0", "1", " ", "#", "\n", "\r", "\r\n"]), max_size=40))
+@pytest.fixture(scope="module")
+def edge_list_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("edge_lists") / "graph.txt"
+
+
+@given(pieces=st.lists(st.sampled_from(["0", "1", " ", "#", "\n", "\r", "\r\n"]), max_size=40))
 @settings(deadline=None, max_examples=300)
-def test_parse_edge_list_string_splits_lines_as_text_mode(pieces):
-    # a string gives the same graph, or the same error at the same line, as
-    # its text read through Python's own text-mode line splitting
+def test_parse_edge_list_string_splits_lines_as_text_mode(edge_list_file, pieces):
+    # bytes written as they are and read by the CLI's file route give the
+    # same graph, or the same error at the same line, as the string read
+    # through Python's own text-mode line splitting
     text = "".join(pieces)
-    assert _parse_outcome(text) == _parse_outcome(io.StringIO(text, newline=None))
+    edge_list_file.write_bytes(text.encode())
+    from_file = _parse_outcome(lambda: load_graph_source(f"file:{edge_list_file}"))
+    assert from_file == _parse_outcome(lambda: parse_edge_list(text_lines(text)))
 
 
 def test_edge_list_roundtrip_random():
@@ -188,7 +206,7 @@ def test_edge_list_roundtrip_random():
     for _ in range(1000):
         g = helpers.random_graph(rng, rng.randint(0, 20), rng.random())
         text = f"{g.n} {g.edge_count()}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
-        assert parse_edge_list(text) == g
+        assert parse_edge_list(text_lines(text)) == g
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +502,7 @@ def test_is_claw_free_matches_brute_force():
 
 def test_tree_code_isomorphism_invariance():
     p4 = build_family(FamilySpec("path", (4,)))
-    relabeled = parse_edge_list("4 3\n2 0\n0 3\n3 1")  # still a path
+    relabeled = parse_edge_list(text_lines("4 3\n2 0\n0 3\n3 1"))  # still a path
     assert tree_canonical_code(p4) == tree_canonical_code(relabeled)
     star = build_family(FamilySpec("star", (3,)))
     assert tree_canonical_code(star) != tree_canonical_code(p4)

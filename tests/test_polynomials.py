@@ -180,8 +180,11 @@ def test_log_concave_examples():
     assert is_log_concave(poly(1, 4, 2)) == (True, None)
     ok, at = is_log_concave(poly(1, 49, 48, 64))
     assert not ok and at == 2
-    assert is_log_concave(poly(1, 3, 1), strict=True) == (True, None)
-    ok, at = is_log_concave(poly(1, 2, 4), strict=True)
+    report = property_report(poly(1, 3, 1))
+    assert (report.strictly_log_concave,
+            report.first_violation.get("strictly_log_concave")) == (True, None)
+    report = property_report(poly(1, 2, 4))
+    ok, at = report.strictly_log_concave, report.first_violation["strictly_log_concave"]
     assert not ok and at == 1
 
 
@@ -442,11 +445,12 @@ def test_sequence_predicates_match_their_definitions():
             newton = _newton_by_definition(cs)
             assert is_unimodal(f) == (uni, dip), cs
             assert is_log_concave(f) == (weak is None, weak), cs
-            assert is_log_concave(f, strict=True) == (strict is None, strict), cs
             assert newton_check(f) == newton, cs
             # no implication between the verdicts is assumed: with zeros,
             # 1 + x^3 is log-concave and Newton but has a dip
             report = property_report(f)
+            assert (report.strictly_log_concave,
+                    report.first_violation.get("strictly_log_concave")) == (strict is None, strict), cs
             witnesses = {"unimodal": dip, "log_concave": weak, "strictly_log_concave": strict}
             assert report.first_violation == {k: v for k, v in witnesses.items() if v is not None}
             assert (report.unimodal, report.log_concave, report.strictly_log_concave,
