@@ -100,8 +100,13 @@ def parse_edge_list(lines: Iterable[str]) -> Graph:
     Blank lines and lines starting with '#' are ignored.  Duplicate edges are
     permitted; every diagnostic names its 1-based line number.  Lines are
     read one at a time and each edge is folded into the adjacency rows, so
-    the input is held in memory proportional to n, whatever its length.
+    the input is held in memory proportional to n, whatever its length.  A
+    ``str`` is refused with ``TypeError``: it would be read a character at a
+    time.
     """
+    if isinstance(lines, str):
+        raise TypeError("parse_edge_list reads an iterable of lines, such as an open"
+                        " file or io.StringIO(text, newline=None), not a str")
     adj: list[int] | None = None  # None until the header is read
     n = m = seen = 0
     for lineno, raw in enumerate(lines, start=1):

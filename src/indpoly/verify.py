@@ -9,13 +9,16 @@ check that no class comes out twice.
 Condition checkers take raw coefficient data so hypotheses can be fuzzed
 independently of graph realizability; graph-level wrappers feed them real
 instances.  A checker returning ``holds=False`` makes no claim: the conditions
-are sufficient, not necessary.
+are sufficient, not necessary, and an instance that misses a hypothesis is
+reported that way, not raised.  ``tree_scan`` owns its bounds and, for
+``jobs > 1``, its worker pool.
 """
 
 from __future__ import annotations
 
 import base64
 import math
+import os
 import random
 from itertools import combinations, islice, pairwise
 from typing import Iterator, NamedTuple, Sequence
@@ -25,11 +28,8 @@ from .graphs import (
     CapacityError,
     FamilySpec,
     Graph,
-    GraphError,
     alpha,
     build_family,
-    delete_closed_neighborhood,
-    delete_vertex,
     is_well_covered,
 )
 from .polynomials import (
@@ -44,10 +44,6 @@ from .polynomials import (
     property_report,
     real_rooted,
 )
-
-
-class HypothesisViolation(GraphError):
-    """An instance fed to a checker does not satisfy the checker's hypothesis."""
 
 
 class SamplingError(CapacityError, RuntimeError):
@@ -173,33 +169,28 @@ _REAL_ROOTED_ROOTS = {("T", 1), ("T", 2), ("T", 3)}
 
 
 def tree_factor_identities() -> dict[str, bool]:
-    """Exact identities for the 5-vertex tree pinned down by its factors.
+    """The ``tree_t`` edge list against the paper's factors of T: I(T - v)
+    and I(T - N[v]) at roots 1 and 4, from ``products.rooted_factors``."""
+    from .products import rooted_factors
 
-    These gate every rooted-tree-product test: if the adjacency reading were
-    wrong, the four polynomial equalities below would fail.
-    """
     t = build_family(FamilySpec("tree_t"))
-    lhs = {
-        "t_minus_root1": independence_polynomial(delete_vertex(t, 0)),
-        "t_minus_nbhd1": independence_polynomial(delete_closed_neighborhood(t, 0)),
-        "t_minus_root4": independence_polynomial(delete_vertex(t, 3)),
-        "t_minus_nbhd4": independence_polynomial(delete_closed_neighborhood(t, 3)),
-    }
-    rhs = {
+    found = (*rooted_factors(t, 0), *rooted_factors(t, 3))
+    paper = {
         "t_minus_root1": ONE_PLUS_X * IntPoly((1, 3)),
         "t_minus_nbhd1": ONE_PLUS_X * IntPoly((1, 2)),
         "t_minus_root4": ONE_PLUS_X ** 3 + X,
         "t_minus_nbhd4": ONE_PLUS_X ** 2 + X,
     }
-    return {key: lhs[key] == rhs[key] for key in lhs}
+    return {key: poly == factor for (key, factor), poly in zip(paper.items(), found)}
 
 
 def rooted_tree_product_check(g: Graph, tree: str, root: int) -> ConditionVerdict:
     """Check the promised conclusion for g composed with tree T or T1.
 
     Roots are the 1..4 labels on the drawing; for T the first three roots
-    promise real-rootedness, everything else promises log-concavity.  Raises
-    when I(g) is not real-rooted, which is the hypothesis.
+    promise real-rootedness, everything else promises log-concavity.  The
+    hypothesis is that I(g) is real-rooted; when it is not, the verdict has
+    ``holds=False`` and nothing is checked.
     """
     from .products import rooted_product
 
@@ -208,21 +199,14 @@ def rooted_tree_product_check(g: Graph, tree: str, root: int) -> ConditionVerdic
         raise ValueError("tree must be 'T' or 'T1'")
     if not (1 <= root <= 4):
         raise ValueError("root label must be in 1..4")
+    real = (tree, root) in _REAL_ROOTED_ROOTS
+    name = f"rooted-tree-product:{tree}:root{root}:{'real-rooted' if real else 'log-concave'}"
     if not real_rooted(independence_polynomial(g)):
-        raise HypothesisViolation("hypothesis failure: I(g) is not real-rooted")
+        return ConditionVerdict(name, False)
     h = build_family(FamilySpec(_TREE_FAMILY[tree]))
     poly = independence_polynomial(rooted_product(g, h, root - 1))
-    if (tree, root) in _REAL_ROOTED_ROOTS:
-        kind = "real-rooted"
-        conclusion = real_rooted(poly)
-    else:
-        kind = "log-concave"
-        conclusion = is_log_concave(poly)[0]
-    return ConditionVerdict(
-        f"rooted-tree-product:{tree}:root{root}:{kind}",
-        True,
-        conclusion_checked=conclusion,
-    )
+    conclusion = real_rooted(poly) if real else is_log_concave(poly)[0]
+    return ConditionVerdict(name, True, conclusion_checked=conclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -476,21 +460,34 @@ def _scan_tree(coded: tuple[bytes, bytes]) -> ScanResult:
     return ScanResult(code, len(levels), poly, property_report(poly))
 
 
-def tree_scan(n_min: int, n_max: int, pool=None) -> Iterator[ScanResult]:
+def tree_scan(n_min: int, n_max: int, jobs: int = 1) -> Iterator[ScanResult]:
     """Scan all non-isomorphic trees with n_min <= n <= n_max.
 
-    Results stream in (n, canonical_code) order so output is deterministic
-    and long scans can be restarted at the next n.  With a
-    `multiprocessing` pool the trees are solved in its workers; the
-    order-preserving `imap` keeps the same output order.
+    The bounds and ``jobs`` are checked at the call; the scan itself is
+    lazy.  Results stream in (n, canonical_code) order so output is
+    deterministic and long scans can be restarted at the next n.  With
+    ``jobs`` > 1 the trees are solved in a spawn-context pool of
+    min(jobs, CPU count) workers, started at the first result and
+    terminated when the stream is closed or runs out; the order-preserving
+    ``imap`` keeps the same output order.
     """
     if not (2 <= n_min <= n_max <= TREE_SCAN_MAX):
-        raise ValueError(f"bounds must satisfy 2 <= n_min <= n_max <= {TREE_SCAN_MAX}")
+        raise ValueError(f"bounds must satisfy 2 <= nmin <= nmax <= {TREE_SCAN_MAX}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return _scan_stream(n_min, n_max, min(jobs, os.cpu_count() or 1))
+
+
+def _scan_stream(n_min: int, n_max: int, workers: int) -> Iterator[ScanResult]:
     # a tree's parent array is rebuilt from its level sequence to solve it
     trees = (pair for n in range(n_min, n_max + 1) for pair in _coded_level_sequences(n))
-    if pool is None:
-        return map(_scan_tree, trees)
-    return pool.imap(_scan_tree, trees, chunksize=_SCAN_CHUNK)
+    if workers == 1:
+        yield from map(_scan_tree, trees)
+        return
+    import multiprocessing
+
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
+        yield from pool.imap(_scan_tree, trees, chunksize=_SCAN_CHUNK)
 
 
 _SCAN_LINE = ('{"code": "%s", "coeffs": ["%s"], "log_concave": %s, "n": %d,'

@@ -11,7 +11,6 @@ backtracking isomorphism test, so it never needs canonical labeling.
 
 from __future__ import annotations
 
-import heapq
 import random
 from collections import Counter
 from fractions import Fraction
@@ -31,7 +30,6 @@ from indpoly.polynomials import (
     real_rooted,
     square_free_part,
 )
-from indpoly.verify import HypothesisViolation
 
 def vertex_colors(g: Graph) -> list[int]:
     """An isomorphism-invariant color per vertex: its degree and its count of
@@ -255,7 +253,9 @@ def all_prufer_trees(n: int):
 
 
 def prufer_decode(seq, n: int) -> Graph:
-    """The unique labeled tree on n vertices with the given sequence."""
+    """The unique labeled tree on n vertices with the given sequence, in
+    linear time: a pointer walks up to the next unused leaf, and a sequence
+    entry that becomes a leaf below the pointer is the smallest leaf."""
     seq = list(seq)
     if n < 2:
         raise GraphError("a labeled tree needs at least 2 vertices")
@@ -266,19 +266,22 @@ def prufer_decode(seq, n: int) -> Graph:
     degree = [1] * n
     for s in seq:
         degree[s] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
+    adj = [0] * n
+    ptr = degree.index(1)
+    leaf = ptr
     for s in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, s))
-        degree[leaf] -= 1
+        adj[leaf] |= 1 << s
+        adj[s] |= 1 << leaf
         degree[s] -= 1
-        if degree[s] == 1:
-            heapq.heappush(leaves, s)
-    u, v = (w for w in range(n) if degree[w] == 1)
-    edges.append((u, v))
-    return Graph.from_edges(n, edges)
+        if degree[s] == 1 and s < ptr:
+            leaf = s
+        else:
+            ptr = degree.index(1, ptr + 1)
+            leaf = ptr
+    # the last two vertices left are that leaf and n - 1
+    adj[leaf] |= 1 << (n - 1)
+    adj[n - 1] |= 1 << leaf
+    return Graph(n, tuple(adj))
 
 
 def emit_graph6(g: Graph) -> str:
@@ -308,7 +311,7 @@ def well_covered_coefficient_bound(g: Graph) -> bool:
     Only meaningful for well-covered graphs; raises if the precondition fails.
     """
     if not is_well_covered(g):
-        raise HypothesisViolation("coefficient bound requires a well-covered graph")
+        raise GraphError("coefficient bound requires a well-covered graph")
     coeffs = independence_polynomial(g).coeffs
     return all(coeffs[k - 1] <= k * coeffs[k] for k in range(1, len(coeffs)))
 

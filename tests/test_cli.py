@@ -182,14 +182,46 @@ class _Uses(ast.NodeVisitor):
             self._use(node.value)
 
 
+def _src_uses_and_definitions() -> tuple[set[str], set[str]]:
+    """The names used in src outside `__init__.py`, which only declares the
+    public names, and the module-level functions and classes of every module."""
+    import indpoly
+
+    uses, defined = _Uses(), set()
+    for path in Path(indpoly.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name != "__init__.py":
+            uses.visit(tree)
+        defined.update(node.name for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    return uses.used, defined
+
+
 def test_every_public_name_has_a_caller_in_src():
     import indpoly
 
-    uses = _Uses()
-    for path in Path(indpoly.__file__).parent.glob("*.py"):
-        if path.name != "__init__.py":  # it only declares the names
-            uses.visit(ast.parse(path.read_text(encoding="utf-8")))
-    assert set(indpoly._MODULE_OF) - uses.used == set(_UNCALLED_PUBLIC)
+    used, _ = _src_uses_and_definitions()
+    assert set(indpoly._MODULE_OF) - used == set(_UNCALLED_PUBLIC)
+
+
+# module-level functions and classes outside the public names that no code
+# in src calls, each with its reason to stay
+_UNCALLED_PRIVATE = {
+    "__getattr__": "the interpreter calls it for a package name not yet loaded",
+    "__dir__": "dir(indpoly) calls it",
+    "tree_factor_identities": "pins tree_t against the paper's factors; a prop41 gate"
+                              " changes the benchmark's golden output (ROADMAP item 7)",
+    "increasing_coefficients_case": "the exhaustive Theorem 2.2 suite of ROADMAP item 8 calls it",
+    "binomial_basis_unimodality_condition": "the partition sweep of ROADMAP item 9 calls it",
+    "distinct_trees": "the benchmark's tracer times it (ROADMAP item 7)",
+}
+
+
+def test_every_module_level_definition_has_a_caller_in_src():
+    import indpoly
+
+    used, defined = _src_uses_and_definitions()
+    assert defined - set(indpoly._MODULE_OF) - used == set(_UNCALLED_PRIVATE)
 
 
 def test_readme_library_snippet_runs():
@@ -579,6 +611,12 @@ def test_verify_prop41_hypothesis_violation_not_fatal():
     # I(K_{1,3}) is not real-rooted, so the hypothesis fails; still exit 0
     out = run_json("verify", "prop41", "--g", "family:star:3", "--root", "1")
     assert out["hypothesis_ok"] is False
+
+
+def test_verify_prop41_unmet_hypothesis_is_a_verdict():
+    proc = run_cli("verify", "prop41", "--g", "family:star:3")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == '{"hypothesis_ok": false, "ok": true, "suite": "prop41"}\n'
 
 
 def test_verify_closedform():

@@ -113,6 +113,12 @@ def test_parse_edge_list_errors(text, fragment):
         parse_edge_list(text_lines(text))
 
 
+def test_parse_edge_list_refuses_a_str():
+    for text in ("# c\n", "2 1\n0 1"):
+        with pytest.raises(TypeError, match=r"iterable of lines.*io\.StringIO"):
+            parse_edge_list(text)
+
+
 def test_parse_edge_list_streams_lines():
     def lines():
         yield from ("2 1", "0 1", "0 1")

@@ -1,8 +1,10 @@
 import base64
 import itertools
 import json
+import multiprocessing
 import pickle
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -164,8 +166,10 @@ def test_rooted_tree_product_examples():
 
 def test_rooted_tree_product_hypothesis_failure():
     claw = fam("star", 3)  # I(claw) is not real-rooted
-    with pytest.raises(GraphError, match="hypothesis"):
-        rooted_tree_product_check(claw, "T", 1)
+    for tree, root, kind in (("T", 1, "real-rooted"), ("T1", 4, "log-concave")):
+        assert rooted_tree_product_check(claw, tree, root) == (
+            f"rooted-tree-product:{tree}:root{root}:{kind}", False, None, None
+        )
     with pytest.raises(ValueError):
         rooted_tree_product_check(fam("path", 4), "T2", 1)
     with pytest.raises(ValueError):
@@ -378,6 +382,23 @@ def test_tree_scan_bounds():
     with pytest.raises(ValueError):
         list(tree_scan(2, 19))
     tree_scan(2, 18)  # the cap itself is accepted; the scan is lazy
+
+
+def test_tree_scan_checks_at_the_call_and_closes_its_pool(monkeypatch):
+    with pytest.raises(ValueError, match="bounds must satisfy"):
+        tree_scan(2, 19)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        tree_scan(2, 9, jobs=0)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)  # a pool on any host
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stream = tree_scan(2, 9, jobs=2)
+        first = next(stream)
+        stream.close()
+    assert multiprocessing.active_children() == []
+    # a pool left to the garbage collector warns that it was never closed
+    assert [w.message for w in caught if w.category is ResourceWarning] == []
+    assert first == next(tree_scan(2, 2))
 
 
 def test_tree_scan_deterministic():
