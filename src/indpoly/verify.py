@@ -257,11 +257,13 @@ FAMILY_CHECK_MAX = 100
 
 def pendant_ladder_trig_check(n: int, tol: float) -> bool:
     """Compare the trigonometric product expansion against the recurrence,
-    coefficient by coefficient, within relative tolerance tol."""
+    coefficient by coefficient, within a finite, positive relative tolerance tol."""
     if n < 0:
         raise ValueError("index must be >= 0")
     if n > TRIG_CHECK_MAX:
         raise ValueError(f"index must be <= {TRIG_CHECK_MAX}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     exact = pendant_ladder_recurrence(n).coeffs
     approx = _trig_product_expansion(n)
     if len(approx) != len(exact):
@@ -522,6 +524,11 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
+# thm22 accepts 85-92% of its random draws, so this many samples stay well
+# inside composition_soundness_scan's 200,000 attempts
+MAX_SAMPLES = 100_000
+
+
 def composition_soundness_scan(
     kind: str,
     samples: int = 500,
@@ -535,12 +542,17 @@ def composition_soundness_scan(
     inequality imply a log-concave composition.  kind "unimodal": inner
     polynomial log-concave plus the ratio condition imply a unimodal
     composition.  Returns counts and the (expectedly empty) failure list;
-    raises SamplingError when max_attempts draws accept fewer than `samples`.
+    raises SamplingError when max_attempts draws accept fewer than `samples`,
+    and ValueError, before any draw, for `samples` outside 1..MAX_SAMPLES.
     """
     from .products import lex_poly
 
     if kind not in ("log_concave", "unimodal"):
         raise ValueError("kind must be 'log_concave' or 'unimodal'")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     rng = random.Random(seed)
     accepted = 0
     attempts = 0

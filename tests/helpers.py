@@ -1,8 +1,9 @@
 """Shared test utilities: random graphs, exact isomorphism testing, and
 exhaustive isomorphism-free graph corpora for oracle-equivalence checks.
 Routes that no `indpoly` command takes live here too: graph6 encoding,
-Pruefer decoding, the frontier DP alone as a second exact engine, and two
-paper facts checked one instance at a time.
+Pruefer decoding, the frontier DP alone as a second exact engine, line
+graphs and the matching polynomial, and two paper facts checked one instance
+at a time.
 
 The corpus builder extends each (n-1)-vertex representative by one vertex with
 every possible neighborhood and deduplicates with invariant buckets plus a
@@ -14,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from indpoly.engine import _unpack, frontier_dp, frontier_order, independence_polynomial
 from indpoly.graphs import Graph, GraphError, _bits, is_well_covered
@@ -191,6 +192,41 @@ def random_regular_graph(rng: random.Random, n: int, d: int) -> Graph:
         edges = {tuple(sorted(points[i:i + 2])) for i in range(0, len(points), 2)}
         if len(edges) == len(points) // 2 and all(u != v for u, v in edges):
             return Graph.from_edges(n, sorted(edges))
+
+
+def line_graph(g: Graph) -> Graph:
+    """L(g): one vertex per edge of g, two adjacent when their edges share an
+    end."""
+    edges = g.edges()
+    return Graph.from_edges(len(edges), [
+        (i, j) for (i, e), (j, f) in combinations(enumerate(edges), 2) if set(e) & set(f)
+    ])
+
+
+def matching_polynomial(g: Graph) -> IntPoly:
+    """The sum of x^|M| over the matchings M of g, which is I(L(g)).
+
+    A memoized recursion on vertex subsets, with v the lowest vertex of S:
+    m(S) = m(S - v) + x * sum over u in N(v) & S of m(S - u - v).  It shares
+    no code with the engine: no component split and no packing.
+    """
+    memo = {0: ONE}
+
+    def m(s: int) -> IntPoly:
+        hit = memo.get(s)
+        if hit is None:
+            low = s & -s
+            rest = s ^ low
+            hit = m(rest)
+            nbrs = g.adj[low.bit_length() - 1] & rest
+            while nbrs:
+                u = nbrs & -nbrs
+                nbrs ^= u
+                hit = hit + m(rest ^ u).shift(1)
+            memo[s] = hit
+        return hit
+
+    return m(g.full_mask)
 
 
 # no order of at most 64 steps of width at most 64 costs more than 64 * 2^64,

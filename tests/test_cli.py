@@ -1,3 +1,4 @@
+import argparse
 import ast
 import functools
 import hashlib
@@ -287,6 +288,26 @@ def test_every_subcommand_refuses_foreign_flags(tmp_path, monkeypatch, capsys):
     for command, command_cases in cases.items():
         _assert_usage_errors(command, command_cases, capsys)
     assert list(tmp_path.iterdir()) == []
+
+
+def _parsers(parser):
+    """The parser and every sub-parser below it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_flag_types_only_convert():
+    # a flag's type turns its text into an int, a float or a `poly` source;
+    # the library function that takes the value bounds it
+    for parser in _parsers(cli.build_parser()):
+        for action in parser._actions:
+            kind = action.type
+            source = (getattr(kind, "__name__", None) == "__add__"
+                      and getattr(kind, "__self__", None) in ("file:", "g6:", "family:"))
+            assert kind in (None, int, float) or source, (parser.prog, action.dest, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -654,29 +675,32 @@ def test_verify_thm22_samples_below_one_exit_2():
         proc = run_cli("verify", "thm22", "--samples", samples)
         assert proc.returncode == 2, samples
         assert proc.stdout == ""
-        assert f"--samples: must be at least 1, got {samples}" in proc.stderr
+        assert proc.stderr == f"error: samples must be at least 1, got {samples}\n"
 
 
 def test_non_numeric_option_values_exit_2(tmp_path):
     out = tmp_path / "trees.jsonl"
     cases = [
-        (("verify", "thm22", "--samples", "abc"), "--samples: must be an integer, got 'abc'"),
-        (("verify", "closedform", "--tol", "xyz"), "--tol: must be a number, got 'xyz'"),
-        (("scan", "trees", "--jobs", "x", "--out", str(out)), "--jobs: must be an integer, got 'x'"),
+        (("verify", "thm22", "--samples", "abc"),
+         "indpoly verify thm22: error: argument --samples: invalid int value: 'abc'"),
+        (("verify", "closedform", "--tol", "xyz"),
+         "indpoly verify closedform: error: argument --tol: invalid float value: 'xyz'"),
+        (("scan", "trees", "--jobs", "x", "--out", str(out)),
+         "indpoly scan: error: argument --jobs: invalid int value: 'x'"),
     ]
     for args, message in cases:
         proc = run_cli(*args)
         assert proc.returncode == 2, args
         assert proc.stdout == ""
-        assert message in proc.stderr
+        assert proc.stderr.splitlines()[-1] == message
         assert "_positive" not in proc.stderr
     assert not out.exists()
 
 
 def test_verify_caps_exit_2_before_any_work():
     cases = [
-        (("thm22", "--samples", "100001"), "--samples: must be at most 100000, got 100001"),
-        (("thm22", "--samples", "200000"), "--samples: must be at most 100000, got 200000"),
+        (("thm22", "--samples", "100001"), "error: samples must be at most 100000, got 100001\n"),
+        (("thm22", "--samples", "200000"), "error: samples must be at most 100000, got 200000\n"),
         (("thm52", "--nmax", "101"), "error: n_max must be <= 100\n"),
         (("closedform", "--n", "801"), "error: index must be <= 800\n"),
         (("closedform", "--n", "809"), "error: index must be <= 800\n"),
@@ -708,11 +732,11 @@ def test_verify_thm22_sampling_budget_exhausted_exit_3(monkeypatch, capsys):
 
 
 def test_verify_closedform_tol_not_finite_positive_exit_2():
-    for tol in ("nan", "inf", "-1", "0"):
+    for tol, shown in (("nan", "nan"), ("inf", "inf"), ("-1", "-1.0"), ("0", "0.0")):
         proc = run_cli("verify", "closedform", "--tol", tol)
         assert proc.returncode == 2, tol
         assert proc.stdout == ""
-        assert f"--tol: must be finite and positive, got {tol}" in proc.stderr
+        assert proc.stderr == f"error: tol must be finite and positive, got {shown}\n"
 
 
 def test_emit_refuses_nan(capsys):
@@ -849,5 +873,6 @@ def test_scan_bad_bounds_exit_2(tmp_path):
     for jobs in ("0", "-4"):
         proc = run_cli("scan", "trees", "--nmax", "4", "--jobs", jobs, "--out", str(out))
         assert proc.returncode == 2, jobs
-        assert "--jobs" in proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: jobs must be at least 1, got {jobs}\n"
         assert not out.exists()

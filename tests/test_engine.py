@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -21,8 +22,9 @@ from indpoly.graphs import (
     components,
     delete_closed_neighborhood,
     delete_vertex,
+    is_claw_free,
 )
-from indpoly.polynomials import ONE_PLUS_X, IntPoly
+from indpoly.polynomials import ONE_PLUS_X, IntPoly, real_rooted
 from indpoly.products import disjoint_union, join
 from indpoly.verify import distinct_trees
 
@@ -373,6 +375,27 @@ def test_hypercube_counts_match_oeis():
         assert poly.degree == 2 ** (d - 1), d
         if d <= 5:
             assert alpha(g) == 2 ** (d - 1), d
+
+
+def test_line_graphs_and_claw_free_graphs_are_real_rooted(small_graph_corpus):
+    # Heilmann and Lieb (1972): I(L(G)) is the matching polynomial of G, which
+    # is real-rooted.  Line graphs of up to 64 edges reach the frontier DP and
+    # the branching well above the brute-force cap.  Chudnovsky and Seymour
+    # (2007): every claw-free graph, line graphs included, has a real-rooted I.
+    rng = random.Random(1972)
+    for n in (12, 16, 20, 24):
+        pairs = list(combinations(range(n), 2))
+        for m in (3 * n // 2, 2 * n, 64):
+            g = Graph.from_edges(n, rng.sample(pairs, m))
+            lg = helpers.line_graph(g)
+            poly = independence_polynomial(lg)
+            assert poly == helpers.matching_polynomial(g), (n, m)
+            assert real_rooted(poly), (n, m)
+            assert is_claw_free(lg), (n, m)
+    claw_free = {n: [g for g in graphs if is_claw_free(g)] for n, graphs in small_graph_corpus.items()}
+    assert [len(claw_free[n]) for n in range(1, 7)] == [1, 2, 4, 10, 26, 85]
+    for g in (g for graphs in claw_free.values() for g in graphs):
+        assert real_rooted(independence_polynomial(g)), g
 
 
 def test_dispatch_hands_narrow_components_to_dp(monkeypatch):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import helpers
+from indpoly import engine
 from indpoly.engine import brute_force_independence_polynomial, independence_polynomial
 from indpoly.graphs import CapacityError, FamilySpec, build_family
 from indpoly.polynomials import ONE_PLUS_X, IntPoly, is_log_concave
@@ -125,7 +126,7 @@ def test_join_poly_requires_unit_constants():
         join_poly(IntPoly((2, 1)), ONE_PLUS_X)
 
 
-def test_lex_identity_random():
+def test_lex_identity_random(monkeypatch):
     rng = random.Random(2718)
     done = 0
     while done < 200:
@@ -135,6 +136,18 @@ def test_lex_identity_random():
             continue
         done += 1
         assert ip(lexicographic(g1, g2)) == lex_poly(ip(g1), ip(g2))
+    # sparse products of 42-64 vertices, with K2 or its complement inside, so
+    # that the formula meets the frontier DP: of the dense pairs above, which
+    # branch, only one reaches it
+    calls = []
+    dp = engine.frontier_dp
+    monkeypatch.setattr(engine, "frontier_dp", lambda *args: calls.append(1) or dp(*args))
+    for g1 in (fam("path", 21), fam("path", 32), fam("cycle", 30), fam("ladder_h", 16)):
+        for g2 in (fam("complete", 2), fam("empty", 2)):
+            calls.clear()
+            graph_level = ip(lexicographic(g1, g2))
+            assert calls, (g1.n, g2.edge_count())
+            assert graph_level == lex_poly(ip(g1), ip(g2))
 
 
 def test_rooted_identity_random():

@@ -1,6 +1,7 @@
 import base64
 import itertools
 import json
+import math
 import multiprocessing
 import pickle
 import random
@@ -36,6 +37,7 @@ from indpoly.polynomials import (
 from indpoly.products import rooted_product
 from indpoly.verify import (
     FAMILY_CHECK_MAX,
+    MAX_SAMPLES,
     TRIG_CHECK_MAX,
     SamplingError,
     _coded_level_sequences,
@@ -469,6 +471,23 @@ def test_soundness_scan_small():
     assert out["samples"] == 60 and out["failures"] == []
     with pytest.raises(ValueError):
         composition_soundness_scan("nope", samples=1)
+
+
+def test_suites_refuse_out_of_range_arguments(monkeypatch):
+    # refused at the call: no pair is drawn and no expansion is computed
+    def no_work(*args):
+        raise AssertionError("work started before the arguments were checked")
+
+    for name in ("random_graph", "pendant_ladder_recurrence", "_trig_product_expansion"):
+        monkeypatch.setattr(verify, name, no_work)
+    for kind in ("log_concave", "unimodal"):
+        for samples, message in ((0, "at least 1, got 0"), (-3, "at least 1, got -3"),
+                                 (MAX_SAMPLES + 1, "at most 100000, got 100001")):
+            with pytest.raises(ValueError, match=f"^samples must be {message}$"):
+                composition_soundness_scan(kind, samples=samples)
+    for tol, shown in ((math.nan, "nan"), (math.inf, "inf"), (0.0, "0.0"), (-1.0, "-1.0")):
+        with pytest.raises(ValueError, match=f"^tol must be finite and positive, got {shown}$"):
+            pendant_ladder_trig_check(11, tol)
 
 
 def test_soundness_scan_budget_exhausted():
