@@ -6,7 +6,7 @@ masks, with connected components multiplied separately, edgeless masks (one
 component per vertex) taken as (1+x)^k, and results memoized by mask; a
 component that is a tree is solved in one pass by ``tree_dp``, and one whose
 frontier is narrow is handed to the frontier DP below.  ``tree_dp`` folds, with
-``tree_fold``, the parent array that ``graphs._tree_parents`` walks from
+``tree_fold``, the parent array that ``graphs._tree_walk`` walks from
 the tree, the same walk the canonical tree code takes.  The fold also runs
 on its own, on a parent array, as ``tree_polynomial``: the tree scan solves
 its trees that way, with no ``Graph``.
@@ -52,7 +52,7 @@ lowest such vertex found by the same pass that summed the degrees.
 
 from __future__ import annotations
 
-from .graphs import Graph, GraphError, _bits, _degree_scan, _tree_parents, mask_components
+from .graphs import Graph, GraphError, _bits, _degree_scan, _tree_walk, mask_components
 from .polynomials import IntPoly
 
 BRUTE_FORCE_CAP = 24
@@ -64,13 +64,8 @@ _DP_MAX_MEAN_DEGREE = 5
 _DP_BUDGET_PER_VERTEX = 512
 
 
-def independence_polynomial(g: Graph, *, _dispatch: bool = True) -> IntPoly:
-    """Exact I(G;x) for graphs up to 64 vertices.
-
-    ``_dispatch=False`` keeps every node in the branching recursion, trees
-    included: neither ``tree_dp`` nor the frontier DP is asked.  Tests use
-    it to compare the routes.
-    """
+def independence_polynomial(g: Graph) -> IntPoly:
+    """Exact I(G;x) for graphs up to 64 vertices."""
     adj = g.adj
     width = g.n + 2
     one_plus_x = 1 + (1 << width)
@@ -92,13 +87,12 @@ def independence_polynomial(g: Graph, *, _dispatch: bool = True) -> IntPoly:
                 result *= solve(comp)
         else:
             degree_sum, v = _degree_scan(adj, mask)
-            if _dispatch and degree_sum == 2 * size - 2:
+            if degree_sum == 2 * size - 2:
                 # connected with size - 1 edges: a tree
                 result = tree_dp(adj, mask, width)
             else:
                 steps = bag = None
-                if (_dispatch and size >= _DP_MIN_VERTICES
-                        and degree_sum <= _DP_MAX_MEAN_DEGREE * size):
+                if size >= _DP_MIN_VERTICES and degree_sum <= _DP_MAX_MEAN_DEGREE * size:
                     steps, bag = frontier_order(adj, mask, _DP_BUDGET_PER_VERTEX * size)
                 if steps is not None:
                     result = frontier_dp(adj, steps, width)
@@ -199,9 +193,9 @@ def frontier_order(adj, mask: int, budget: int
 
 def tree_dp(adj, mask: int, width: int) -> int:
     """Packed I of the induced subgraph on ``mask``, which must be a tree:
-    ``tree_fold`` of its parent array from ``_tree_parents``, rooted at its
+    ``tree_fold`` of its parent array from ``_tree_walk``, rooted at its
     lowest vertex."""
-    return tree_fold(_tree_parents(adj, mask, (mask & -mask).bit_length() - 1), width)
+    return tree_fold(_tree_walk(adj, mask, (mask & -mask).bit_length() - 1)[1], width)
 
 
 def tree_fold(parents, width: int) -> int:

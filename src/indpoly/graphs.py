@@ -445,37 +445,11 @@ def is_claw_free(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _tree_centers(adj) -> list[int]:
-    # on the adjacency rows of a tree: peel leaf layers off as masks; the
-    # last one or two survivors are the centers.  Each new layer lies among
-    # the neighbours of the last one.
-    alive = (1 << len(adj)) - 1
-    layer = 0
-    for v, row in enumerate(adj):
-        if not row & (row - 1):
-            layer |= 1 << v
-    while alive.bit_count() > 2:
-        alive ^= layer
-        touched = 0
-        while layer:
-            low = layer & -layer
-            touched |= adj[low.bit_length() - 1]
-            layer ^= low
-        touched &= alive
-        while touched:
-            low = touched & -touched
-            left = adj[low.bit_length() - 1] & alive
-            if not left & (left - 1):
-                layer |= low
-            touched ^= low
-    return list(_bits(alive))
-
-
-def _tree_parents(adj, mask: int, root: int) -> list[int]:
-    """The parent array of the tree induced on ``mask``, by a breadth-first
-    search from ``root``: the i-th vertex visited hangs from the
-    parents[i]-th, which came before it, and the root comes first with
-    parent -1."""
+def _tree_walk(adj, mask: int, root: int) -> tuple[list[int], list[int]]:
+    """The breadth-first walk of the tree induced on ``mask`` from ``root``,
+    as (order, parents): order lists the vertices as visited, the root
+    first, and the i-th of them hangs from the parents[i]-th, which came
+    before it; the root's parent is -1."""
     order = [root]
     parents = [-1]
     seen = 1 << root
@@ -487,7 +461,21 @@ def _tree_parents(adj, mask: int, root: int) -> list[int]:
             order.append(low.bit_length() - 1)
             parents.append(i)
             rest ^= low
-    return parents
+    return order, parents
+
+
+def _tree_centers(adj) -> list[int]:
+    # on the adjacency rows of a tree: the middle of a longest path.  A walk
+    # from vertex 0 ends at a farthest vertex, one end of a longest path; a
+    # walk from there ends at the other end, and the parents lead back
+    full = (1 << len(adj)) - 1
+    order = _tree_walk(adj, full, 0)[0]
+    order, parents = _tree_walk(adj, full, order[-1])
+    path = [len(order) - 1]
+    while parents[path[-1]] >= 0:
+        path.append(parents[path[-1]])
+    middle = path[(len(path) - 1) // 2:len(path) // 2 + 1]
+    return sorted(order[i] for i in middle)
 
 
 def _ahu_code(parents) -> bytes:
@@ -506,7 +494,7 @@ def _ahu_code(parents) -> bytes:
 def _tree_code(adj) -> bytes:
     # on the adjacency rows of a tree: the smaller rooted code over its centres
     full = (1 << len(adj)) - 1
-    return min(_ahu_code(_tree_parents(adj, full, c)) for c in _tree_centers(adj))
+    return min(_ahu_code(_tree_walk(adj, full, c)[1]) for c in _tree_centers(adj))
 
 
 def tree_canonical_code(g: Graph) -> bytes:

@@ -79,6 +79,12 @@ class ScanResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+def _check_count(name: str, value) -> None:
+    # a count is an int; a bool is one to Python but not a count
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def _check_positive(a: Sequence[int]) -> None:
     if any(v <= 0 for v in a):
         raise ValueError("coefficient list must be positive")
@@ -190,7 +196,8 @@ def rooted_tree_product_check(g: Graph, tree: str, root: int) -> ConditionVerdic
     Roots are the 1..4 labels on the drawing; for T the first three roots
     promise real-rootedness, everything else promises log-concavity.  The
     hypothesis is that I(g) is real-rooted; when it is not, the verdict has
-    ``holds=False`` and nothing is checked.
+    ``holds=False`` and nothing is checked.  The product is built first, so
+    one over the vertex cap raises ``CapacityError`` before I(g) is solved.
     """
     from .products import rooted_product
 
@@ -201,10 +208,10 @@ def rooted_tree_product_check(g: Graph, tree: str, root: int) -> ConditionVerdic
         raise ValueError("root label must be in 1..4")
     real = (tree, root) in _REAL_ROOTED_ROOTS
     name = f"rooted-tree-product:{tree}:root{root}:{'real-rooted' if real else 'log-concave'}"
+    product = rooted_product(g, build_family(FamilySpec(_TREE_FAMILY[tree])), root - 1)
     if not real_rooted(independence_polynomial(g)):
         return ConditionVerdict(name, False)
-    h = build_family(FamilySpec(_TREE_FAMILY[tree]))
-    poly = independence_polynomial(rooted_product(g, h, root - 1))
+    poly = independence_polynomial(product)
     conclusion = real_rooted(poly) if real else is_log_concave(poly)[0]
     return ConditionVerdict(name, True, conclusion_checked=conclusion)
 
@@ -475,6 +482,7 @@ def tree_scan(n_min: int, n_max: int, jobs: int = 1) -> Iterator[ScanResult]:
     """
     if not (2 <= n_min <= n_max <= TREE_SCAN_MAX):
         raise ValueError(f"bounds must satisfy 2 <= nmin <= nmax <= {TREE_SCAN_MAX}")
+    _check_count("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     return _scan_stream(n_min, n_max, min(jobs, os.cpu_count() or 1))
@@ -525,16 +533,12 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 
 # thm22 accepts 85-92% of its random draws, so this many samples stay well
-# inside composition_soundness_scan's 200,000 attempts
+# inside composition_soundness_scan's MAX_ATTEMPTS draws
 MAX_SAMPLES = 100_000
+MAX_ATTEMPTS = 200_000
 
 
-def composition_soundness_scan(
-    kind: str,
-    samples: int = 500,
-    seed: int = 0,
-    max_attempts: int = 200_000,
-) -> dict:
+def composition_soundness_scan(kind: str, samples: int = 500, seed: int = 0) -> dict:
     """Sample random graph pairs until `samples` satisfy the hypothesis, and
     verify the promised conclusion on each.
 
@@ -542,13 +546,15 @@ def composition_soundness_scan(
     inequality imply a log-concave composition.  kind "unimodal": inner
     polynomial log-concave plus the ratio condition imply a unimodal
     composition.  Returns counts and the (expectedly empty) failure list;
-    raises SamplingError when max_attempts draws accept fewer than `samples`,
-    and ValueError, before any draw, for `samples` outside 1..MAX_SAMPLES.
+    raises SamplingError when MAX_ATTEMPTS draws accept fewer than `samples`,
+    and, before any draw, TypeError for a `samples` that is not an int and
+    ValueError for one outside 1..MAX_SAMPLES.
     """
     from .products import lex_poly
 
     if kind not in ("log_concave", "unimodal"):
         raise ValueError("kind must be 'log_concave' or 'unimodal'")
+    _check_count("samples", samples)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if samples > MAX_SAMPLES:
@@ -559,10 +565,10 @@ def composition_soundness_scan(
     failures: list[dict] = []
     while accepted < samples:
         attempts += 1
-        if attempts > max_attempts:
+        if attempts > MAX_ATTEMPTS:
             raise SamplingError(
                 f"hypothesis sampling did not converge: {accepted} of {samples}"
-                f" samples accepted in {max_attempts} attempts"
+                f" samples accepted in {MAX_ATTEMPTS} attempts"
             )
         g1 = random_graph(rng, rng.randint(2, 6), rng.uniform(0.2, 0.9))
         g2 = random_graph(rng, rng.randint(2, 7), rng.uniform(0.2, 0.9))

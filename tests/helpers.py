@@ -1,9 +1,9 @@
 """Shared test utilities: random graphs, exact isomorphism testing, and
 exhaustive isomorphism-free graph corpora for oracle-equivalence checks.
 Routes that no `indpoly` command takes live here too: graph6 encoding,
-Pruefer decoding, the frontier DP alone as a second exact engine, line
-graphs and the matching polynomial, and two paper facts checked one instance
-at a time.
+Pruefer decoding, pure branching and the frontier DP alone as two more
+exact engines, line graphs and the matching polynomial, and two paper facts
+checked one instance at a time.
 
 The corpus builder extends each (n-1)-vertex representative by one vertex with
 every possible neighborhood and deduplicates with invariant buckets plus a
@@ -227,6 +227,46 @@ def matching_polynomial(g: Graph) -> IntPoly:
         return hit
 
     return m(g.full_mask)
+
+
+def branching_independence_polynomial(g: Graph) -> IntPoly:
+    """Exact I(G;x) by the vertex recursion alone, the reference for the
+    engine's tree and frontier routes: I(G) = I(G - v) + x I(G - N[v]) on a
+    lowest vertex v of maximum degree, with the component of the lowest
+    vertex split off and multiplied, and every mask memoized.
+
+    It shares none of the engine's code.  A polynomial is packed into one
+    int, coefficient k in bits [kB, (k+1)B) with B = n + 2: a value counts
+    independent sets of at most n vertices, so no slot carries.
+    """
+    adj = g.adj
+    width = g.n + 2
+    memo = {0: 1}
+
+    def solve(mask: int) -> int:
+        hit = memo.get(mask)
+        if hit is not None:
+            return hit
+        comp = grow = mask & -mask
+        while grow:
+            reach = 0
+            for u in _bits(grow):
+                reach |= adj[u]
+            grow = reach & mask & ~comp
+            comp |= grow
+        if comp != mask:
+            hit = solve(comp) * solve(mask ^ comp)
+        elif not mask & (mask - 1):
+            hit = 1 + (1 << width)
+        else:
+            v = max(_bits(mask), key=lambda u: (adj[u] & mask).bit_count())
+            hit = solve(mask & ~(1 << v)) + (solve(mask & ~adj[v] & ~(1 << v)) << width)
+        memo[mask] = hit
+        return hit
+
+    packed = solve(g.full_mask)
+    slot = (1 << width) - 1
+    return IntPoly([packed >> k * width & slot for k in range(g.n + 1)])
 
 
 # no order of at most 64 steps of width at most 64 costs more than 64 * 2^64,

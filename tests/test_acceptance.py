@@ -333,7 +333,7 @@ def test_c12_scanned_polynomials_match_oracles():
     for n in range(2, 11):
         for code, tree in distinct_trees(n):
             poly = brute_force_independence_polynomial(tree)
-            assert independence_polynomial(tree, _dispatch=False) == poly
+            assert helpers.branching_independence_polynomial(tree) == poly
             assert independence_polynomial(tree) == poly
             expected.append((n, code, poly))
     scanned = [(r.n, r.canonical_code, r.polynomial) for r in tree_scan(2, 10)]

@@ -1,6 +1,5 @@
 import argparse
 import ast
-import functools
 import hashlib
 import json
 import os
@@ -147,7 +146,8 @@ _UNCALLED_PUBLIC = {
     "brute_force_independence_polynomial": "the oracle of the engine up to 24 vertices",
     "count_distinct_real_roots": "the square-free route that checks real_rooted",
     "tree_canonical_code": "the benchmark's tracer counts its calls (ROADMAP item 7)",
-    "is_claw_free": "the theorem-backed oracles of ROADMAP item 2 call it",
+    "is_claw_free": "the tests pick claw-free graphs with it (Chudnovsky-Seymour,"
+                    " ROADMAP item 2)",
     "multipartite_poly": "the partition sweep of ROADMAP item 9 calls it",
     "shift_basis": "the partition sweep of ROADMAP item 9 calls it",
 }
@@ -223,6 +223,22 @@ def test_every_module_level_definition_has_a_caller_in_src():
 
     used, defined = _src_uses_and_definitions()
     assert defined - set(indpoly._MODULE_OF) - used == set(_UNCALLED_PRIVATE)
+
+
+def test_no_function_in_src_takes_a_private_parameter():
+    # a parameter named with a leading underscore is an option that only
+    # tests set: a second mode of the function beside the one callers use
+    import indpoly
+
+    private = []
+    for path in sorted(Path(indpoly.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                private += [f"{path.name}:{node.lineno} {arg.arg}"
+                            for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                            if arg is not None and arg.arg.startswith("_")]
+    assert private == []
 
 
 def test_readme_library_snippet_runs():
@@ -662,6 +678,33 @@ def test_verify_gn_over_cap_solves_nothing(monkeypatch, capsys):
     assert calls == []
 
 
+def test_verify_prop41_over_cap_solves_nothing(monkeypatch, capsys):
+    # I(path:13) is real-rooted and I(multipartite:10,3) is not; either way
+    # the product with T or T1 is over the cap and refused before I(g) is solved
+    from indpoly import verify
+
+    def no_solve(g):
+        raise AssertionError("a graph was solved before the product's cap check")
+
+    monkeypatch.setattr(verify, "independence_polynomial", no_solve)
+    for g in ("family:path:13", "family:multipartite:10,3"):
+        for tree, size in (("T", 5), ("T1", 6)):
+            assert cli.main(["verify", "prop41", "--g", g, "--tree", tree, "--root", "2"]) == 3
+            assert capsys.readouterr() == (
+                "", f"error: product has {13 * size} vertices, which exceeds the cap of 64\n"
+            )
+
+
+def test_verify_thm22_failure_exits_1(monkeypatch, capsys):
+    from indpoly import IntPoly, products
+
+    monkeypatch.setattr(products, "lex_poly", lambda i1, i2: IntPoly((1, 0, 1)))
+    assert cli.main(["verify", "thm22", "--samples", "3"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False
+    assert [len(result["failures"]) for result in out["results"].values()] == [3, 3]
+
+
 def test_verify_negative_nmax_exit_2():
     for suite in ("thm52", "gn"):
         proc = run_cli("verify", suite, "--nmax", "-1")
@@ -723,8 +766,7 @@ def test_verify_caps_themselves_accepted(capsys):
 def test_verify_thm22_sampling_budget_exhausted_exit_3(monkeypatch, capsys):
     from indpoly import verify
 
-    scan = functools.partial(verify.composition_soundness_scan, max_attempts=10)
-    monkeypatch.setattr(verify, "composition_soundness_scan", scan)
+    monkeypatch.setattr(verify, "MAX_ATTEMPTS", 10)
     assert cli.main(["verify", "thm22", "--samples", "500"]) == 3
     out, err = capsys.readouterr()
     assert out == ""

@@ -6,7 +6,12 @@ from math import comb
 import pytest
 
 import helpers
-from helpers import NO_BUDGET, frontier_independence_polynomial, prufer_decode
+from helpers import (
+    NO_BUDGET,
+    branching_independence_polynomial,
+    frontier_independence_polynomial,
+    prufer_decode,
+)
 from indpoly import engine
 from indpoly.engine import (
     brute_force_independence_polynomial,
@@ -299,7 +304,7 @@ def test_rejected_orders_branch_inside_the_failing_bag(monkeypatch):
     graphs += [helpers.random_regular_graph(rng, 40, 4), helpers.random_graph(rng, 40, 0.15)]
     for g in graphs:
         hybrid = independence_polynomial(g)
-        assert hybrid == independence_polynomial(g, _dispatch=False)
+        assert hybrid == branching_independence_polynomial(g)
         assert hybrid == frontier_independence_polynomial(g)
     assert rejected
 
@@ -351,7 +356,7 @@ def test_engines_agree_above_brute_force_cap():
     graphs += [helpers.random_regular_graph(rng, n, 3) for n in (26, 44, 64)]
     graphs += [helpers.random_regular_graph(rng, n, 4) for n in (25, 32)]
     for g in graphs:
-        branching = independence_polynomial(g, _dispatch=False)
+        branching = branching_independence_polynomial(g)
         assert frontier_independence_polynomial(g) == branching
         assert independence_polynomial(g) == branching
 
@@ -403,12 +408,11 @@ def test_dispatch_hands_narrow_components_to_dp(monkeypatch):
     dp = engine.frontier_dp
     monkeypatch.setattr(engine, "frontier_dp", lambda *args: calls.append(1) or dp(*args))
     # below the floor (the tree scan's trees have at most 14 vertices) the
-    # DP is never asked, nor with the dispatch off
+    # DP is never asked
     independence_polynomial(fam("path", engine._DP_MIN_VERTICES - 1))
     independence_polynomial(fam("star", 13))
-    independence_polynomial(grid(8, 8), _dispatch=False)
     assert calls == []
-    assert independence_polynomial(grid(8, 8)) == independence_polynomial(grid(8, 8), _dispatch=False)
+    assert independence_polynomial(grid(8, 8)) == branching_independence_polynomial(grid(8, 8))
     assert calls == [1]
 
 
@@ -433,7 +437,7 @@ def test_dispatch_gates_components_on_mean_degree(monkeypatch):
     dense = helpers.random_regular_graph(rng, 30, 6)
     for g, root_ordered in ((dense, False), (grid(8, 8), True)):
         ordered.clear()
-        assert independence_polynomial(g) == independence_polynomial(g, _dispatch=False)
+        assert independence_polynomial(g) == branching_independence_polynomial(g)
         assert (g.full_mask in ordered) == root_ordered
         assert ordered
 
@@ -522,7 +526,7 @@ def test_tree_dp_matches_branching_and_brute_force(tree_dp_masks):
         for _, tree in distinct_trees(n):
             g = relabeled(rng, tree)
             expected = brute_force_independence_polynomial(g)
-            assert independence_polynomial(g, _dispatch=False) == expected
+            assert branching_independence_polynomial(g) == expected
             assert tree_dp_masks == []
             assert independence_polynomial(g) == expected
             assert tree_dp_masks == [g.full_mask]
@@ -533,7 +537,7 @@ def test_tree_dp_matches_branching_and_brute_force(tree_dp_masks):
         g = random_forest(rng, rng.randint(1, 24))
         isolated += sum(1 for c in components(g) if c.bit_count() == 1)
         expected = brute_force_independence_polynomial(g)
-        assert independence_polynomial(g, _dispatch=False) == expected
+        assert branching_independence_polynomial(g) == expected
         assert independence_polynomial(g) == expected
         assert sorted(tree_dp_masks) == edge_components(g)
         tree_dp_masks.clear()
@@ -574,8 +578,8 @@ def test_recursion_hands_tree_components_to_tree_dp(tree_dp_masks, monkeypatch):
     # under the DP floor a cycle branches once, on vertex 0, and leaves the
     # two paths G - 0 and G - N[0]
     n = engine._DP_MIN_VERTICES - 1
-    assert independence_polynomial(fam("cycle", n)) == independence_polynomial(
-        fam("cycle", n), _dispatch=False)
+    assert independence_polynomial(fam("cycle", n)) == branching_independence_polynomial(
+        fam("cycle", n))
     full = (1 << n) - 1
     assert tree_dp_masks == [full & ~1, full & ~0b11 & ~(1 << (n - 1))]
     # cycle:40 is narrow, so the frontier DP takes it whole at the root
@@ -591,7 +595,7 @@ def test_recursion_hands_tree_components_to_tree_dp(tree_dp_masks, monkeypatch):
     for n, p in ((30, 0.3), (26, 0.35)):
         g = helpers.random_graph(rng, n, p)
         tree_dp_masks.clear()
-        assert independence_polynomial(g) == independence_polynomial(g, _dispatch=False)
+        assert independence_polynomial(g) == branching_independence_polynomial(g)
         assert max(mask.bit_count() for mask in tree_dp_masks) >= 5
 
 

@@ -57,6 +57,18 @@ def test_graph_and_family_spec_are_values():
         FamilySpec("path", (-1,))
 
 
+def test_from_edges_refuses_bad_input():
+    cases = [
+        (-1, [], "negative vertex count"),
+        (3, [(0, 3)], r"edge \(0,3\) out of range for n=3"),
+        (3, [(-1, 2)], r"edge \(-1,2\) out of range for n=3"),
+        (3, [(0, 1), (1, 1)], "loop edge at vertex 1"),
+    ]
+    for n, edges, message in cases:
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            Graph.from_edges(n, edges)
+
+
 def check_invariants(g: Graph):
     assert len(g.adj) == g.n
     for v in range(g.n):

@@ -58,6 +58,16 @@ def test_trailing_zeros_trimmed():
     assert poly().degree == -1
 
 
+def test_intpoly_is_an_immutable_value():
+    p = IntPoly((1, 2, 0))
+    with pytest.raises(AttributeError, match="^IntPoly is immutable$"):
+        p.coeffs = (3,)
+    assert p.coeffs == (1, 2)
+    assert hash(p) == hash(IntPoly([1, 2])) and len({p, IntPoly((1, 2))}) == 1
+    assert p and not IntPoly() and not IntPoly((0, 0))
+    assert repr(p) == "IntPoly([1, 2])" and repr(IntPoly()) == "IntPoly([])"
+
+
 def test_compose_examples():
     assert poly(1, 2).compose(poly(0, 2)) == poly(1, 4)
     f = poly(3, -1, 2, 5)

@@ -353,7 +353,7 @@ def test_level_sequence_code_matches_the_graph_route():
     # bicentral trees must take the code of the centre that is not the root.
     # The pass relies on the canonical order: the root's first subtree is
     # its tallest, and the tree is bicentral exactly when it is one level
-    # taller than the rest, which the peeled centres confirm
+    # taller than the rest, which graphs._tree_centers confirms
     second_centre = 0
     for n in range(1, 17):
         for levels in _free_level_sequences(n):
@@ -490,8 +490,48 @@ def test_suites_refuse_out_of_range_arguments(monkeypatch):
             pendant_ladder_trig_check(11, tol)
 
 
-def test_soundness_scan_budget_exhausted():
+def test_soundness_scan_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(verify, "MAX_ATTEMPTS", 10)
     with pytest.raises(SamplingError, match="did not converge: 9 of 50 samples") as info:
-        composition_soundness_scan("unimodal", samples=50, seed=1, max_attempts=10)
+        composition_soundness_scan("unimodal", samples=50, seed=1)
     # the CLI's capacity error (exit 3), and still a RuntimeError
     assert isinstance(info.value, CapacityError) and isinstance(info.value, RuntimeError)
+
+
+def test_counts_must_be_ints(monkeypatch):
+    # a float or a bool is refused at the call, before any pair is drawn or
+    # any tree generated
+    def no_work(*args):
+        raise AssertionError("work started before the count was checked")
+
+    monkeypatch.setattr(verify, "random_graph", no_work)
+    monkeypatch.setattr(verify, "_scan_stream", no_work)
+    for bad, shown in ((2.5, "float"), (True, "bool"), (3.0, "float")):
+        with pytest.raises(TypeError, match=f"^samples must be an int, got {shown}$"):
+            composition_soundness_scan("unimodal", samples=bad)
+        with pytest.raises(TypeError, match=f"^jobs must be an int, got {shown}$"):
+            tree_scan(2, 3, jobs=bad)
+
+
+def test_soundness_scan_records_each_failure(monkeypatch):
+    # a lex_poly that breaks both conclusions: every accepted pair is a
+    # failure, recorded with both polynomials as decimal strings
+    from indpoly import products
+
+    seen = []
+
+    def broken(i1, i2):
+        seen.append((i1, i2))
+        return IntPoly((1, 0, 1))
+
+    monkeypatch.setattr(products, "lex_poly", broken)
+    for kind in ("log_concave", "unimodal"):
+        seen.clear()
+        out = composition_soundness_scan(kind, samples=3, seed=5)
+        assert out["samples"] == 3 and len(seen) == 3
+        assert out["failures"] == [
+            {"g1_coeffs": [str(c) for c in i1.coeffs], "g2_coeffs": [str(c) for c in i2.coeffs]}
+            for i1, i2 in seen
+        ]
+        assert all(s.isdigit() for failure in out["failures"]
+                   for s in failure["g1_coeffs"] + failure["g2_coeffs"])
