@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
-import operator
 import os
 import sys
 
@@ -294,7 +292,7 @@ def cmd_scan(args) -> int:
         os.truncate(args.out, _resume_offset(args.out, args.nmin))
     with open(args.out, "w" if args.nmin == 2 else "a", encoding="utf-8") as handle, \
             contextlib.closing(stream):
-        for n, results in itertools.groupby(stream, key=operator.attrgetter("n")):
+        for n, results in stream:
             count = violations = 0
             for result in results:
                 handle.write(ver.scan_result_to_json(result) + "\n")

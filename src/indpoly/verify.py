@@ -11,7 +11,8 @@ independently of graph realizability; graph-level wrappers feed them real
 instances.  A checker returning ``holds=False`` makes no claim: the conditions
 are sufficient, not necessary, and an instance that misses a hypothesis is
 reported that way, not raised.  ``tree_scan`` owns its bounds and, for
-``jobs > 1``, its worker pool.
+``jobs > 1``, its worker pool; it yields one (n, results) pair per size, so
+the boundary between sizes is decided there alone.
 """
 
 from __future__ import annotations
@@ -150,18 +151,15 @@ def well_covered_composition_condition(g1: Graph, g2: Graph) -> ConditionVerdict
     )
 
 
-def binomial_basis_unimodality_condition(d: Sequence[int], strict: bool = False) -> bool:
-    """Whether the nonzero entries of d are increasing (weakly by default).
+def binomial_basis_unimodality_condition(d: Sequence[int]) -> bool:
+    """Whether the nonzero entries of d are weakly increasing.
 
-    This is the hypothesis under which sum d_i (1+x)^i is unimodal; the
-    strict flag reports the strictly-increasing variant separately.
+    This is the hypothesis under which sum d_i (1+x)^i is unimodal.
     """
     d = list(d)
     if any(v < 0 for v in d):
         raise ValueError("d must be nonnegative")
     nz = [v for v in d if v != 0]
-    if strict:
-        return all(nz[i - 1] < nz[i] for i in range(1, len(nz)))
     return all(nz[i - 1] <= nz[i] for i in range(1, len(nz)))
 
 
@@ -235,6 +233,7 @@ def pendant_ladder_recurrence(n: int) -> IntPoly:
 
     Bases: I(G_{-1}) = 1 and I(G_0) = 1 + x.
     """
+    _check_count("n", n)
     if n < -1:
         raise ValueError("index must be >= -1")
     return IntPoly((1,)) if n == -1 else next(islice(_pendant_ladders(), n, None))
@@ -265,6 +264,7 @@ FAMILY_CHECK_MAX = 100
 def pendant_ladder_trig_check(n: int, tol: float) -> bool:
     """Compare the trigonometric product expansion against the recurrence,
     coefficient by coefficient, within a finite, positive relative tolerance tol."""
+    _check_count("n", n)
     if n < 0:
         raise ValueError("index must be >= 0")
     if n > TRIG_CHECK_MAX:
@@ -280,6 +280,7 @@ def pendant_ladder_trig_check(n: int, tol: float) -> bool:
 
 def pendant_ladder_family_check(n_max: int) -> list[dict]:
     """Symmetry, real-rootedness and degree n+1 for every 0 <= n <= n_max."""
+    _check_count("n_max", n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if n_max > FAMILY_CHECK_MAX:
@@ -299,6 +300,7 @@ def pendant_ladder_graph_check(n_max: int) -> list[dict]:
     """I(G_n) from the recurrence against the engine on the graph G_n, for
     every 0 <= n <= n_max.  Every G_n is built, and so checked against the
     vertex cap, before any is solved."""
+    _check_count("n_max", n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     graphs = [build_family(FamilySpec("pendant_ladder_g", (n,))) for n in range(n_max + 1)]
@@ -469,17 +471,26 @@ def _scan_tree(coded: tuple[bytes, bytes]) -> ScanResult:
     return ScanResult(code, len(levels), poly, property_report(poly))
 
 
-def tree_scan(n_min: int, n_max: int, jobs: int = 1) -> Iterator[ScanResult]:
+def tree_scan(
+    n_min: int, n_max: int, jobs: int = 1
+) -> Iterator[tuple[int, Iterator[ScanResult]]]:
     """Scan all non-isomorphic trees with n_min <= n <= n_max.
 
-    The bounds and ``jobs`` are checked at the call; the scan itself is
-    lazy.  Results stream in (n, canonical_code) order so output is
-    deterministic and long scans can be restarted at the next n.  With
-    ``jobs`` > 1 the trees are solved in a spawn-context pool of
-    min(jobs, CPU count) workers, started at the first result and
+    The stream yields one (n, results) pair per size, in increasing n;
+    ``results`` lazily gives that size's ``ScanResult``s in canonical-code
+    order, so output is deterministic and a long scan can be restarted at
+    the next n.  A size's trees are generated only when its pair is asked
+    for, so a caller can finish with one size before the next is generated.
+    As with ``itertools.groupby``, read each size before asking for the
+    next.  The bounds and ``jobs`` are checked at the call; the scan itself
+    is lazy.  With ``jobs`` > 1 the trees are solved in a spawn-context
+    pool of min(jobs, CPU count) workers, started at the first pair and
     terminated when the stream is closed or runs out; the order-preserving
-    ``imap`` keeps the same output order.
+    ``imap`` keeps the same output order, and a size's results cannot be
+    read once the stream is closed.
     """
+    _check_count("n_min", n_min)
+    _check_count("n_max", n_max)
     if not (2 <= n_min <= n_max <= TREE_SCAN_MAX):
         raise ValueError(f"bounds must satisfy 2 <= nmin <= nmax <= {TREE_SCAN_MAX}")
     _check_count("jobs", jobs)
@@ -488,16 +499,20 @@ def tree_scan(n_min: int, n_max: int, jobs: int = 1) -> Iterator[ScanResult]:
     return _scan_stream(n_min, n_max, min(jobs, os.cpu_count() or 1))
 
 
-def _scan_stream(n_min: int, n_max: int, workers: int) -> Iterator[ScanResult]:
+def _scan_stream(
+    n_min: int, n_max: int, workers: int
+) -> Iterator[tuple[int, Iterator[ScanResult]]]:
     # a tree's parent array is rebuilt from its level sequence to solve it
-    trees = (pair for n in range(n_min, n_max + 1) for pair in _coded_level_sequences(n))
+    sizes = range(n_min, n_max + 1)
     if workers == 1:
-        yield from map(_scan_tree, trees)
+        for n in sizes:
+            yield n, map(_scan_tree, _coded_level_sequences(n))
         return
     import multiprocessing
 
     with multiprocessing.get_context("spawn").Pool(workers) as pool:
-        yield from pool.imap(_scan_tree, trees, chunksize=_SCAN_CHUNK)
+        for n in sizes:
+            yield n, pool.imap(_scan_tree, _coded_level_sequences(n), chunksize=_SCAN_CHUNK)
 
 
 _SCAN_LINE = ('{"code": "%s", "coeffs": ["%s"], "log_concave": %s, "n": %d,'

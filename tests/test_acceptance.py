@@ -305,11 +305,12 @@ def test_c12_tree_scan():
     counts = {}
     violations = 0
     codes_seen = {}
-    for result in tree_scan(2, 12):
-        counts[result.n] = counts.get(result.n, 0) + 1
-        codes_seen.setdefault(result.n, set()).add(result.canonical_code)
-        if not result.report.unimodal:
-            violations += 1
+    for _, results in tree_scan(2, 12):
+        for result in results:
+            counts[result.n] = counts.get(result.n, 0) + 1
+            codes_seen.setdefault(result.n, set()).add(result.canonical_code)
+            if not result.report.unimodal:
+                violations += 1
     assert violations == 0
     assert counts == {n: helpers.KNOWN_TREE_COUNTS[n] for n in range(2, 13)}
     # cross-check n <= 8 against full labeled enumeration with two dedup
@@ -336,7 +337,8 @@ def test_c12_scanned_polynomials_match_oracles():
             assert helpers.branching_independence_polynomial(tree) == poly
             assert independence_polynomial(tree) == poly
             expected.append((n, code, poly))
-    scanned = [(r.n, r.canonical_code, r.polynomial) for r in tree_scan(2, 10)]
+    scanned = [(r.n, r.canonical_code, r.polynomial)
+               for _, results in tree_scan(2, 10) for r in results]
     assert scanned == expected
     assert len(expected) == sum(helpers.KNOWN_TREE_COUNTS[n] for n in range(2, 11))
 

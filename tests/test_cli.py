@@ -225,20 +225,36 @@ def test_every_module_level_definition_has_a_caller_in_src():
     assert defined - set(indpoly._MODULE_OF) - used == set(_UNCALLED_PRIVATE)
 
 
-def test_no_function_in_src_takes_a_private_parameter():
-    # a parameter named with a leading underscore is an option that only
-    # tests set: a second mode of the function beside the one callers use
+def _src_function_args():
+    """(file:line, arguments) of every function and lambda in src."""
     import indpoly
 
-    private = []
     for path in sorted(Path(indpoly.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                a = node.args
-                private += [f"{path.name}:{node.lineno} {arg.arg}"
-                            for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
-                            if arg is not None and arg.arg.startswith("_")]
+                yield f"{path.name}:{node.lineno}", node.args
+
+
+def test_no_function_in_src_takes_a_private_parameter():
+    # a parameter named with a leading underscore is an option that only
+    # tests set: a second mode of the function beside the one callers use
+    private = [f"{where} {arg.arg}" for where, a in _src_function_args()
+               for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+               if arg is not None and arg.arg.startswith("_")]
     assert private == []
+
+
+def test_no_function_in_src_has_a_bool_default():
+    # a parameter that defaults to True or False switches a function between
+    # two modes; callers in src use one, and the other is left to tests
+    switches = []
+    for where, a in _src_function_args():
+        positional = (*a.posonlyargs, *a.args)
+        defaults = (*zip(positional[len(positional) - len(a.defaults):], a.defaults),
+                    *zip(a.kwonlyargs, a.kw_defaults))
+        switches += [f"{where} {arg.arg}" for arg, default in defaults
+                     if isinstance(default, ast.Constant) and isinstance(default.value, bool)]
+    assert switches == []
 
 
 def test_readme_library_snippet_runs():
@@ -865,6 +881,32 @@ def test_scan_resume_matches_one_scan(tmp_path):
     proc = run_cli("scan", "trees", "--nmin", "6", "--nmax", "7", "--out", str(resumed))
     assert proc.returncode == 0, proc.stderr
     assert resumed.read_bytes() == whole.read_bytes()
+
+
+def test_scan_flushes_each_size_before_the_next_is_generated(tmp_path, monkeypatch, capsys):
+    # a scan killed while size 9's codes are generated has sizes 2-8 in
+    # --out and on stdout, so it resumes from --nmin 9
+    from indpoly import verify
+
+    out, copy = tmp_path / "trees.jsonl", tmp_path / "copy.jsonl"
+    coded_level_sequences = verify._coded_level_sequences
+    seen = []
+
+    def watched(n):
+        if n == 9:
+            seen.append((out.read_bytes(), capsys.readouterr().out))
+        return coded_level_sequences(n)
+
+    monkeypatch.setattr(verify, "_coded_level_sequences", watched)
+    assert cli.main(["scan", "trees", "--nmax", "9", "--out", str(out)]) == 0
+    [(written, printed)] = seen
+    whole = out.read_bytes()
+    assert written == b"".join(line for line in whole.splitlines(keepends=True)
+                               if json.loads(line)["n"] <= 8)
+    assert printed.endswith("n=8: 23 trees, 0 violations\n")
+    copy.write_bytes(written)
+    assert cli.main(["scan", "trees", "--nmin", "9", "--nmax", "9", "--out", str(copy)]) == 0
+    assert copy.read_bytes() == whole
 
 
 def test_scan_resume_refuses_foreign_file(tmp_path):

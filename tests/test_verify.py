@@ -141,8 +141,7 @@ def test_binomial_basis_condition():
     assert not binomial_basis_unimodality_condition(d)
     assert binomial_basis_unimodality_condition([1, 2, 3])
     assert binomial_basis_unimodality_condition([0, 0, 0])
-    assert binomial_basis_unimodality_condition([2, 2], strict=False)
-    assert not binomial_basis_unimodality_condition([2, 2], strict=True)
+    assert binomial_basis_unimodality_condition([2, 2])
     with pytest.raises(ValueError):
         binomial_basis_unimodality_condition([-1])
 
@@ -338,7 +337,9 @@ def test_scan_matches_the_graph_routes():
     # the validated canonical code and the brute-force polynomial
     for n in range(2, 13):
         coded = _coded_level_sequences(n)
-        results = list(tree_scan(n, n))
+        [(size, results)] = tree_scan(n, n)
+        results = list(results)
+        assert size == n
         assert [r.canonical_code for r in results] == [code for code, _ in coded]
         for (code, levels), result in zip(coded, results):
             tree = _level_sequence_tree(levels)
@@ -371,11 +372,13 @@ def test_level_sequence_code_matches_the_graph_route():
 
 def test_tree_scan_counts_and_violations():
     per_n = {}
-    for result in tree_scan(2, 5):
-        per_n.setdefault(result.n, []).append(result)
-        assert result.report.unimodal
-        assert result.polynomial.degree == len(result.polynomial.coeffs) - 1
-    assert [len(per_n[n]) for n in (2, 3, 4, 5)] == [1, 1, 2, 3]
+    for n, results in tree_scan(2, 5):
+        per_n[n] = list(results)
+        for result in per_n[n]:
+            assert result.n == n
+            assert result.report.unimodal
+            assert result.polynomial.degree == len(result.polynomial.coeffs) - 1
+    assert [(n, len(results)) for n, results in per_n.items()] == [(2, 1), (3, 1), (4, 2), (5, 3)]
 
 
 def test_tree_scan_bounds():
@@ -395,23 +398,26 @@ def test_tree_scan_checks_at_the_call_and_closes_its_pool(monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         stream = tree_scan(2, 9, jobs=2)
-        first = next(stream)
+        n, results = next(stream)
+        first = next(results)  # the rest of size 2 and sizes 3-9 are left unread
         stream.close()
     assert multiprocessing.active_children() == []
     # a pool left to the garbage collector warns that it was never closed
     assert [w.message for w in caught if w.category is ResourceWarning] == []
-    assert first == next(tree_scan(2, 2))
+    n_serial, results = next(tree_scan(2, 2))
+    assert (n, first) == (n_serial, next(results))
 
 
 def test_tree_scan_deterministic():
-    first = [scan_result_to_json(r) for r in tree_scan(2, 6)]
-    second = [scan_result_to_json(r) for r in tree_scan(2, 6)]
+    first = [(n, [scan_result_to_json(r) for r in results]) for n, results in tree_scan(2, 6)]
+    second = [(n, [scan_result_to_json(r) for r in results]) for n, results in tree_scan(2, 6)]
     assert first == second
 
 
 def test_scan_result_is_a_frozen_picklable_value():
     # `scan --jobs 2` workers return results to the parent process by pickle
-    result = next(iter(tree_scan(4, 4)))
+    _, results = next(tree_scan(4, 4))
+    result = next(results)
     with pytest.raises(AttributeError):
         result.n = 5
     again = pickle.loads(pickle.dumps(result))
@@ -435,7 +441,7 @@ def _json_dumps_line(result):
 
 
 def test_scan_result_to_json_matches_json_dumps():
-    results = list(tree_scan(2, 10))
+    results = [r for _, size in tree_scan(2, 10) for r in size]
     # hand-built results: every pattern of the four booleans, a code whose
     # base64 has "+" and "/", and a coefficient past 64 bits
     last = results[-1]
@@ -450,7 +456,8 @@ def test_scan_result_to_json_matches_json_dumps():
 
 
 def test_scan_result_json_shape():
-    result = next(iter(tree_scan(2, 2)))
+    _, results = next(tree_scan(2, 2))
+    result = next(results)
     row = json.loads(scan_result_to_json(result))
     assert set(row) == {
         "n", "code", "coeffs", "unimodal", "log_concave", "symmetric", "real_rooted"
@@ -499,18 +506,28 @@ def test_soundness_scan_budget_exhausted(monkeypatch):
 
 
 def test_counts_must_be_ints(monkeypatch):
-    # a float or a bool is refused at the call, before any pair is drawn or
-    # any tree generated
+    # a float or a bool is refused at the call, before any pair is drawn,
+    # any ladder built or any tree generated
     def no_work(*args):
         raise AssertionError("work started before the count was checked")
 
-    monkeypatch.setattr(verify, "random_graph", no_work)
-    monkeypatch.setattr(verify, "_scan_stream", no_work)
+    for name in ("random_graph", "_scan_stream", "_pendant_ladders", "build_family",
+                 "_trig_product_expansion"):
+        monkeypatch.setattr(verify, name, no_work)
     for bad, shown in ((2.5, "float"), (True, "bool"), (3.0, "float")):
-        with pytest.raises(TypeError, match=f"^samples must be an int, got {shown}$"):
-            composition_soundness_scan("unimodal", samples=bad)
-        with pytest.raises(TypeError, match=f"^jobs must be an int, got {shown}$"):
-            tree_scan(2, 3, jobs=bad)
+        calls = (
+            ("samples", lambda: composition_soundness_scan("unimodal", samples=bad)),
+            ("jobs", lambda: tree_scan(2, 3, jobs=bad)),
+            ("n_min", lambda: tree_scan(bad, 3)),
+            ("n_max", lambda: tree_scan(2, bad)),
+            ("n_max", lambda: pendant_ladder_family_check(bad)),
+            ("n_max", lambda: pendant_ladder_graph_check(bad)),
+            ("n", lambda: pendant_ladder_trig_check(bad, 1e-6)),
+            ("n", lambda: pendant_ladder_recurrence(bad)),
+        )
+        for name, call in calls:
+            with pytest.raises(TypeError, match=f"^{name} must be an int, got {shown}$"):
+                call()
 
 
 def test_soundness_scan_records_each_failure(monkeypatch):
