@@ -129,13 +129,8 @@ def frontier_order(adj, mask: int, budget: int
     still to come is v; both counts are kept up to date, so scoring a
     candidate is O(1).
     """
-    remaining = [0] * len(adj)
-    rest = mask
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        remaining[v] = adj[v] & mask
-        rest ^= low
+    # entries outside the mask are never read
+    remaining = [row & mask for row in adj]
     sole = [0] * len(adj)
     steps = []
     frontier = 0

@@ -119,8 +119,6 @@ class IntPoly:
         """Multiply by x**k, for k >= 0."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
-        if self.is_zero():
-            return self
         return IntPoly((0,) * k + self.coeffs)
 
     def compose(self, g: "IntPoly") -> "IntPoly":

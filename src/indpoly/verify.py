@@ -11,8 +11,8 @@ independently of graph realizability; graph-level wrappers feed them real
 instances.  A checker returning ``holds=False`` makes no claim: the conditions
 are sufficient, not necessary, and an instance that misses a hypothesis is
 reported that way, not raised.  ``tree_scan`` owns its bounds and, for
-``jobs > 1``, its worker pool; it yields one (n, results) pair per size, so
-the boundary between sizes is decided there alone.
+``jobs > 1``, its worker pool, whose sizes raise once the stream is closed;
+it yields one (n, results) pair per size, deciding the size boundary alone.
 """
 
 from __future__ import annotations
@@ -64,6 +64,11 @@ class ConditionVerdict(NamedTuple):
     holds: bool
     first_failing_index: int | None = None
     conclusion_checked: bool | None = None
+
+    @property
+    def ok(self) -> bool:
+        """False only when the hypothesis holds and the conclusion fails."""
+        return not self.holds or bool(self.conclusion_checked)
 
 
 class ScanResult(NamedTuple):
@@ -229,10 +234,7 @@ def _pendant_ladders() -> Iterator[IntPoly]:
 
 
 def pendant_ladder_recurrence(n: int) -> IntPoly:
-    """I(G_n;x) from the recurrence (x+1) I(G_{n-1}) + x I(G_{n-2}).
-
-    Bases: I(G_{-1}) = 1 and I(G_0) = 1 + x.
-    """
+    """I(G_n;x), n >= -1, from the recurrence of ``_pendant_ladders``."""
     _check_count("n", n)
     if n < -1:
         raise ValueError("index must be >= -1")
@@ -271,11 +273,10 @@ def pendant_ladder_trig_check(n: int, tol: float) -> bool:
         raise ValueError(f"index must be <= {TRIG_CHECK_MAX}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    # both have n + 2 entries: deg I(G_n) = n + 1 = delta_n + 2 ceil(n/2)
     exact = pendant_ladder_recurrence(n).coeffs
     approx = _trig_product_expansion(n)
-    if len(approx) != len(exact):
-        return False
-    return all(abs(a - e) <= tol * max(1, abs(e)) for a, e in zip(approx, exact))
+    return all(abs(a - e) <= tol * max(1, abs(e)) for a, e in zip(approx, exact, strict=True))
 
 
 def pendant_ladder_family_check(n_max: int) -> list[dict]:
@@ -481,13 +482,13 @@ def tree_scan(
     order, so output is deterministic and a long scan can be restarted at
     the next n.  A size's trees are generated only when its pair is asked
     for, so a caller can finish with one size before the next is generated.
-    As with ``itertools.groupby``, read each size before asking for the
-    next.  The bounds and ``jobs`` are checked at the call; the scan itself
-    is lazy.  With ``jobs`` > 1 the trees are solved in a spawn-context
-    pool of min(jobs, CPU count) workers, started at the first pair and
-    terminated when the stream is closed or runs out; the order-preserving
-    ``imap`` keeps the same output order, and a size's results cannot be
-    read once the stream is closed.
+    Each size's ``results`` is its own iterator, readable in any order.  The
+    bounds and ``jobs`` are checked at the call; the scan itself is lazy.
+    With ``jobs`` > 1 the trees are solved in a spawn-context pool of
+    min(jobs, CPU count) workers, started at the first pair and terminated
+    when the stream is closed or runs out; ``imap`` keeps the output order.
+    A pool-backed size raises ``ValueError`` once its stream is closed or
+    garbage-collected; a serial size stays readable.
     """
     _check_count("n_min", n_min)
     _check_count("n_max", n_max)
@@ -503,16 +504,31 @@ def _scan_stream(
     n_min: int, n_max: int, workers: int
 ) -> Iterator[tuple[int, Iterator[ScanResult]]]:
     # a tree's parent array is rebuilt from its level sequence to solve it
-    sizes = range(n_min, n_max + 1)
-    if workers == 1:
-        for n in sizes:
-            yield n, map(_scan_tree, _coded_level_sequences(n))
-        return
-    import multiprocessing
+    pool = None
+    if workers > 1:
+        import multiprocessing
 
-    with multiprocessing.get_context("spawn").Pool(workers) as pool:
-        for n in sizes:
-            yield n, pool.imap(_scan_tree, _coded_level_sequences(n), chunksize=_SCAN_CHUNK)
+        pool = multiprocessing.get_context("spawn").Pool(workers)
+    closed = False
+
+    def pooled(results: Iterator[ScanResult]) -> Iterator[ScanResult]:
+        # a closed stream's imap waits forever on its terminated pool, so reads raise
+        def read() -> ScanResult:
+            if closed:
+                raise ValueError("scan stream is closed")
+            return next(results)
+
+        return iter(read, None)
+
+    try:
+        for n in range(n_min, n_max + 1):
+            coded = _coded_level_sequences(n)
+            yield n, (map(_scan_tree, coded) if pool is None
+                      else pooled(pool.imap(_scan_tree, coded, chunksize=_SCAN_CHUNK)))
+    finally:
+        closed = True
+        if pool is not None:
+            pool.terminate()
 
 
 _SCAN_LINE = ('{"code": "%s", "coeffs": ["%s"], "log_concave": %s, "n": %d,'

@@ -125,6 +125,35 @@ def test_scan_and_verify_load_no_module_they_do_not_run(argv, tmp_path):
     assert proc.stdout == "0 []\n"
 
 
+_READ_AFTER_CLOSE = """
+import multiprocessing, os
+from indpoly import verify
+
+os.cpu_count = lambda: 2  # a pool on any host
+stream = verify.tree_scan(2, 9, jobs=2)
+next(stream)
+_, results = next(stream)
+stream.close()
+_, dropped = next(verify.tree_scan(2, 9, jobs=2))  # its stream is garbage-collected
+for size in (results, results, dropped):
+    try:
+        next(size)
+    except ValueError as exc:
+        assert str(exc) == "scan stream is closed", exc
+    else:
+        raise SystemExit("a read after close did not raise")
+assert multiprocessing.active_children() == []
+_, serial = next(verify.tree_scan(4, 4))  # the serial stream is dropped at once
+assert len(list(serial)) == 2
+"""
+
+
+def test_pool_backed_size_raises_once_its_stream_is_closed():
+    # a read that hangs fails the test by timeout instead of hanging the suite
+    proc = run_python("-c", _READ_AFTER_CLOSE, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_package_names_resolve_on_first_use():
     import importlib
 

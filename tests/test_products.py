@@ -5,7 +5,7 @@ import pytest
 import helpers
 from indpoly import engine
 from indpoly.engine import brute_force_independence_polynomial, independence_polynomial
-from indpoly.graphs import CapacityError, FamilySpec, build_family
+from indpoly.graphs import CapacityError, FamilySpec, GraphError, build_family
 from indpoly.polynomials import ONE_PLUS_X, IntPoly, is_log_concave
 from indpoly.products import (
     disjoint_union,
@@ -148,6 +148,13 @@ def test_lex_identity_random(monkeypatch):
             graph_level = ip(lexicographic(g1, g2))
             assert calls, (g1.n, g2.edge_count())
             assert graph_level == lex_poly(ip(g1), ip(g2))
+
+
+def test_rooted_factors_refuses_a_root_out_of_range():
+    h = fam("tree_t")
+    for root in (-1, h.n):
+        with pytest.raises(GraphError):
+            rooted_factors(h, root)
 
 
 def test_rooted_identity_random():

@@ -39,6 +39,7 @@ from indpoly.verify import (
     FAMILY_CHECK_MAX,
     MAX_SAMPLES,
     TRIG_CHECK_MAX,
+    ConditionVerdict,
     SamplingError,
     _coded_level_sequences,
     _free_level_sequences,
@@ -121,6 +122,20 @@ def test_well_covered_composition_examples():
     k2 = fam("complete", 2)
     v = well_covered_composition_condition(k2, k2)
     assert v.holds and v.conclusion_checked
+
+
+def test_condition_verdict_ok_truth_table():
+    # a sufficient condition is refuted only by a met hypothesis whose
+    # conclusion fails; an unchecked conclusion (None) does not count as met
+    for holds, checked, ok in (
+        (True, True, True),
+        (True, False, False),
+        (True, None, False),
+        (False, True, True),
+        (False, False, True),
+        (False, None, True),
+    ):
+        assert ConditionVerdict("c", holds, conclusion_checked=checked).ok is ok
 
 
 def test_well_covered_coefficient_bound():
@@ -406,6 +421,18 @@ def test_tree_scan_checks_at_the_call_and_closes_its_pool(monkeypatch):
     assert [w.message for w in caught if w.category is ResourceWarning] == []
     n_serial, results = next(tree_scan(2, 2))
     assert (n, first) == (n_serial, next(results))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_tree_scan_sizes_read_out_of_order(monkeypatch, jobs):
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)  # a pool on any host
+    in_order = [(n, list(results)) for n, results in tree_scan(2, 5, jobs=jobs)]
+    stream = tree_scan(2, 5, jobs=jobs)
+    sizes = [next(stream) for _ in range(4)]
+    backwards = [(n, list(results)) for n, results in reversed(sizes)]
+    stream.close()
+    assert backwards[::-1] == in_order
+    assert [(n, len(results)) for n, results in in_order] == [(2, 1), (3, 1), (4, 2), (5, 3)]
 
 
 def test_tree_scan_deterministic():
