@@ -15,7 +15,6 @@ _PUBLIC = {
     ),
     "graphs": (
         "CapacityError",
-        "FamilySpec",
         "Graph",
         "GraphError",
         "GraphParseError",

@@ -19,8 +19,6 @@ import sys
 from .engine import independence_polynomial
 from .graphs import (
     CapacityError,
-    FAMILIES,
-    FamilySpec,
     Graph,
     GraphParseError,
     MAX_VERTICES,
@@ -35,21 +33,14 @@ from .polynomials import coeffs_as_strings, property_report
 
 DEFAULT_SEED = 20240501
 
-# CLI name -> family kind: each kind under its own name and its aliases
-_FAMILY_NAMES = {
-    name: kind for kind, family in FAMILIES.items() for name in (kind, *family.aliases)
-}
 
-
-def parse_family_token(token: str) -> FamilySpec:
-    """Parse the `name:args` mini-grammar, with `x` for repetition.
+def parse_family_token(token: str) -> tuple[str, list[int]]:
+    """Split the `name:args` mini-grammar, with `x` for repetition, into the
+    name and parameters that `build_family` takes.
 
     Examples: `path:4`, `gn:3`, `multipartite:1x26,8`, `T`, `t1`.
     """
     name, _, rest = token.partition(":")
-    kind = _FAMILY_NAMES.get(name.strip().lower())
-    if kind is None:
-        raise GraphParseError(f"unknown family name {name!r}")
     params: list[int] = []
     if rest:
         for piece in rest.split(","):
@@ -68,14 +59,15 @@ def parse_family_token(token: str) -> FamilySpec:
                     f" which exceeds the cap of {MAX_VERTICES}"
                 )
             params.extend([value] * count)
-    return FamilySpec(kind, tuple(params))
+    return name.strip(), params
 
 
 def load_graph_source(source: str) -> Graph:
     """Load a graph from a `family:`, `g6:` or `file:` prefixed source."""
     scheme, _, rest = source.partition(":")
     if scheme == "family":
-        return build_family(parse_family_token(rest))
+        name, params = parse_family_token(rest)
+        return build_family(name, *params)
     if scheme == "g6":
         return parse_graph6(rest)
     if scheme == "file":
@@ -245,34 +237,45 @@ def _resume_offset(path: str, nmin: int) -> int:
     """Byte length of the leading complete lines of an earlier scan at `path`
     whose trees have fewer than nmin vertices.
 
-    Every kept size must hold all of its trees; otherwise the resume is
-    refused, naming the first incomplete size.  A missing file keeps no line.
+    The kept lines must be in (size, code) order, as scan writes them, and
+    hold each tree of every kept size once; otherwise the resume is refused,
+    naming the size at fault.  A missing file keeps no line.
     """
+    import base64
+
     from . import verify as ver
 
     offset = 0
     kept = dict.fromkeys(range(2, nmin), 0)
+    previous = (0, b"")
     with contextlib.suppress(FileNotFoundError), open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.endswith(b"\n"):
                 break  # torn by an aborted write
             try:
-                n = json.loads(line)["n"]
+                result = json.loads(line)
+                n, code = result["n"], base64.b64decode(result["code"], validate=True)
             except (ValueError, KeyError, TypeError):
                 n = None
             if not isinstance(n, int) or n < 2:
                 raise GraphParseError(f"{path}: line {lineno}: not a scan result line")
             if n >= nmin:
                 break
+            # scan writes each size in the byte order of its codes
+            if (n, code) <= previous:
+                raise GraphParseError(
+                    f"{path}: line {lineno}: size {n} repeats a tree or is out of order;"
+                    f" resume with --nmin {n}"
+                )
+            previous = (n, code)
             kept[n] += 1
             offset += len(line)
     for n, count in kept.items():
         expected = ver.free_tree_count(n)
         if count != expected:
-            raise GraphParseError(
-                f"{path}: size {n} is incomplete ({count} of {expected} trees);"
-                f" resume with --nmin {n}"
-            )
+            state = (f"is incomplete ({count} of {expected} trees)" if count < expected
+                     else f"has {count} lines for its {expected} trees")
+            raise GraphParseError(f"{path}: size {n} {state}; resume with --nmin {n}")
     return offset
 
 

@@ -32,6 +32,12 @@ def _check_cap(n: int, what: str) -> None:
         raise CapacityError(f"{what} has {n} vertices, which exceeds the cap of {MAX_VERTICES}")
 
 
+def _check_count(name: str, value) -> None:
+    # a count is an int; a bool is one to Python but not a count
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 class Graph(NamedTuple):
     """n vertices 0..n-1; adj[v] is the open neighborhood N(v) as a bitmask."""
 
@@ -235,7 +241,7 @@ def _multipartite_edges(*parts: int) -> list[tuple[int, int]]:
 
 
 class Family(NamedTuple):
-    """A named family: its CLI aliases besides the kind itself, its parameter
+    """A named family: its aliases besides the kind itself, its parameter
     count (None: one or more), and its vertex count and edges as functions of
     the parameters.  The vertex count needs no edges, so the cap is checked
     before any edge is built."""
@@ -264,23 +270,21 @@ FAMILIES = {
 }
 
 
-class FamilySpec(NamedTuple("FamilySpec", [("kind", str), ("params", tuple)])):
-    """Symbolic description of a named graph family instance: an immutable,
-    hashable value, checked against FAMILIES when it is made."""
+# family name -> kind: each kind under its own name and its aliases
+_KIND_OF = {name: kind for kind, family in FAMILIES.items() for name in (kind, *family.aliases)}
 
-    __slots__ = ()
 
-    def __new__(cls, kind: str, params: Iterable[int] = ()):
-        if kind not in FAMILIES:
-            raise GraphError(f"unknown family kind {kind!r}")
-        params = tuple(int(p) for p in params)
-        if any(p < 0 for p in params):
+def build_family(name: str, *params: int) -> Graph:
+    """The graph of a family instance, such as ``build_family("gn", 3)``: a kind
+    of ``FAMILIES`` or an alias, in any case, and its non-negative int
+    parameters, all checked, the vertex cap too, before any edge is built."""
+    kind = _KIND_OF.get(name.lower()) if isinstance(name, str) else None
+    if kind is None:
+        raise GraphError(f"unknown family name {name!r}")
+    for p in params:
+        _check_count("family parameter", p)
+        if p < 0:
             raise GraphError("family parameters must be nonnegative")
-        return super().__new__(cls, kind, params)
-
-
-def build_family(spec: FamilySpec) -> Graph:
-    kind, params = spec.kind, spec.params
     family = FAMILIES[kind]
     arity = family.arity
     if arity is not None and len(params) != arity:

@@ -25,14 +25,7 @@ from itertools import combinations, islice, pairwise
 from typing import Iterator, NamedTuple, Sequence
 
 from .engine import independence_polynomial, tree_polynomial
-from .graphs import (
-    CapacityError,
-    FamilySpec,
-    Graph,
-    alpha,
-    build_family,
-    is_well_covered,
-)
+from .graphs import CapacityError, Graph, _check_count, build_family, is_well_covered
 from .polynomials import (
     ONE_PLUS_X,
     X,
@@ -83,12 +76,6 @@ class ScanResult(NamedTuple):
 # ---------------------------------------------------------------------------
 # Composition (lexicographic substitution) conditions
 # ---------------------------------------------------------------------------
-
-
-def _check_count(name: str, value) -> None:
-    # a count is an int; a bool is one to Python but not a count
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 def _check_positive(a: Sequence[int]) -> None:
@@ -144,11 +131,12 @@ def well_covered_composition_condition(g1: Graph, g2: Graph) -> ConditionVerdict
 
     i1 = independence_polynomial(g1)
     i2 = independence_polynomial(g2)
+    # alpha(g1) is deg I(g1): is_well_covered(g1) has branched for it already
     holds = (
         is_well_covered(g1)
         and is_well_covered(g2)
         and is_log_concave(i2)[0]
-        and g2.n >= alpha(g1)
+        and g2.n >= i1.degree
     )
     conclusion = is_unimodal(lex_poly(i1, i2))[0]
     return ConditionVerdict(
@@ -172,7 +160,6 @@ def binomial_basis_unimodality_condition(d: Sequence[int]) -> bool:
 # Rooted products with the two reference trees
 # ---------------------------------------------------------------------------
 
-_TREE_FAMILY = {"T": "tree_t", "T1": "tree_t1"}
 # roots whose rooted product must stay real-rooted; the rest are log-concave
 _REAL_ROOTED_ROOTS = {("T", 1), ("T", 2), ("T", 3)}
 
@@ -182,7 +169,7 @@ def tree_factor_identities() -> dict[str, bool]:
     and I(T - N[v]) at roots 1 and 4, from ``products.rooted_factors``."""
     from .products import rooted_factors
 
-    t = build_family(FamilySpec("tree_t"))
+    t = build_family("tree_t")
     found = (*rooted_factors(t, 0), *rooted_factors(t, 3))
     paper = {
         "t_minus_root1": ONE_PLUS_X * IntPoly((1, 3)),
@@ -204,14 +191,14 @@ def rooted_tree_product_check(g: Graph, tree: str, root: int) -> ConditionVerdic
     """
     from .products import rooted_product
 
-    tree = tree.upper().replace("₁", "1")
-    if tree not in _TREE_FAMILY:
+    tree = tree.upper()
+    if tree not in ("T", "T1"):
         raise ValueError("tree must be 'T' or 'T1'")
     if not (1 <= root <= 4):
         raise ValueError("root label must be in 1..4")
     real = (tree, root) in _REAL_ROOTED_ROOTS
     name = f"rooted-tree-product:{tree}:root{root}:{'real-rooted' if real else 'log-concave'}"
-    product = rooted_product(g, build_family(FamilySpec(_TREE_FAMILY[tree])), root - 1)
+    product = rooted_product(g, build_family(tree), root - 1)
     if not real_rooted(independence_polynomial(g)):
         return ConditionVerdict(name, False)
     poly = independence_polynomial(product)
@@ -304,7 +291,7 @@ def pendant_ladder_graph_check(n_max: int) -> list[dict]:
     _check_count("n_max", n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    graphs = [build_family(FamilySpec("pendant_ladder_g", (n,))) for n in range(n_max + 1)]
+    graphs = [build_family("pendant_ladder_g", n) for n in range(n_max + 1)]
     return [
         {"n": n, "match": poly == independence_polynomial(g)}
         for n, (g, poly) in enumerate(zip(graphs, _pendant_ladders()))

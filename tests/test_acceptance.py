@@ -16,7 +16,6 @@ import helpers
 from helpers import well_covered_coefficient_bound
 from indpoly.engine import brute_force_independence_polynomial, independence_polynomial
 from indpoly.graphs import (
-    FamilySpec,
     alpha,
     build_family,
     tree_canonical_code,
@@ -47,10 +46,6 @@ from indpoly.verify import (
     rooted_tree_product_check,
     tree_scan,
 )
-
-
-def fam(kind, *params):
-    return build_family(FamilySpec(kind, params))
 
 
 def ip(g):
@@ -148,7 +143,7 @@ def ladder_pool():
     polys = []
     for n in range(26):
         rec = pendant_ladder_recurrence(n)
-        eng = ip(fam("pendant_ladder_g", n))
+        eng = ip(build_family("pendant_ladder_g", n))
         polys.append(rec)
         rows.append(
             {
@@ -169,10 +164,10 @@ def tree_product_pool():
     polys = []
     for kind, lo in (("path", 3), ("cycle", 3)):
         for n in range(lo, 9):
-            g = fam(kind, n)
+            g = build_family(kind, n)
             for tree, root in iterproduct(("T", "T1"), (1, 2, 3, 4)):
                 verdict = rooted_tree_product_check(g, tree, root)
-                h = fam("tree_t" if tree == "T" else "tree_t1")
+                h = build_family(tree)
                 polys.append(ip(rooted_product(g, h, root - 1)))
                 if not verdict.conclusion_checked:
                     failures.append((kind, n, tree, root))
@@ -186,8 +181,8 @@ def tree_product_pool():
 
 def test_c01_counterexample_polynomial():
     t0 = time.perf_counter()
-    k4 = fam("complete", 4)
-    g = join(disjoint_union(disjoint_union(k4, k4), k4), fam("complete", 37))
+    k4 = build_family("complete", 4)
+    g = join(disjoint_union(disjoint_union(k4, k4), k4), build_family("complete", 37))
     poly = ip(g)
     elapsed = time.perf_counter() - t0
     assert poly == IntPoly((1, 49, 48, 64))
@@ -263,7 +258,7 @@ def test_c10_pendant_doubling_well_covered():
     from indpoly.graphs import is_well_covered
 
     rng = random.Random(100100)
-    k2 = fam("path", 2)
+    k2 = build_family("path", 2)
     for _ in range(100):
         g = helpers.random_graph(rng, rng.randint(1, 16), rng.random())
         doubled = rooted_product(g, k2, 0)

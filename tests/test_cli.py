@@ -13,7 +13,7 @@ import pytest
 from indpoly import cli
 from indpoly.cli import load_graph_source, parse_family_token
 from helpers import emit_graph6
-from indpoly.graphs import FAMILIES, CapacityError, Graph
+from indpoly.graphs import FAMILIES, CapacityError, Graph, build_family
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -286,12 +286,27 @@ def test_no_function_in_src_has_a_bool_default():
     assert switches == []
 
 
-def test_readme_library_snippet_runs():
+def _readme_blocks(language: str) -> list[str]:
     readme = (Path(SRC).parent / "README.md").read_text(encoding="utf-8")
-    snippet = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    return [block.split("```", 1)[0] for block in readme.split(f"```{language}\n")[1:]]
+
+
+def test_readme_library_snippet_runs():
+    # every python block runs, each with the output it promises
+    snippet, scan_loop = _readme_blocks("python")
     proc = run_python("-c", snippet + "print(ip.independence_polynomial(g).coeffs)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "(1, 49, 48, 64)\n"
+    proc = run_python("-c", scan_loop)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2 1\n3 1\n4 2\n5 3\n6 6\n"
+
+
+def test_readme_scan_line_is_written_by_the_scan(tmp_path):
+    [line] = _readme_blocks("json")
+    out = tmp_path / "trees.jsonl"
+    assert run_cli("scan", "trees", "--nmax", "5", "--out", str(out)).returncode == 0
+    assert line in out.read_text(encoding="utf-8").splitlines(keepends=True)
 
 
 def test_readme_examples_parse():
@@ -476,9 +491,12 @@ def test_poly_family_arity_exit_2():
 def test_every_family_name_parses_to_its_kind():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text().lower()
     for kind, family in FAMILIES.items():
+        params = (1, 1, 2) if family.arity is None else (3,) * family.arity
+        args = "1x2,2" if family.arity is None else ",".join(map(str, params))
         for name in (kind, *family.aliases):
-            for spelled in (name, name.upper()):
-                assert parse_family_token(spelled).kind == kind, spelled
+            token = f" {name.upper()} :{args}" if args else name.upper()
+            assert parse_family_token(token) == (name.upper(), list(params)), token
+            assert load_graph_source(f"family:{token}") == build_family(kind, *params), token
             assert f"`{name}`" in readme, f"README does not name {name}"
 
 
@@ -687,6 +705,17 @@ def test_verify_prop41():
     )
     assert out["ok"] is True
     assert out["conclusion_checked"] is True
+
+
+def test_verify_prop41_tree_labels(capsys):
+    for tree, condition in (("T", "T:root1:real-rooted"), ("t", "T:root1:real-rooted"),
+                            ("T1", "T1:root1:log-concave"), ("t1", "T1:root1:log-concave")):
+        assert cli.main(["verify", "prop41", "--g", "family:path:4", "--tree", tree]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["condition"] == f"rooted-tree-product:{condition}", tree
+    for tree in ("path", "T₁"):
+        assert cli.main(["verify", "prop41", "--g", "family:path:4", "--tree", tree]) == 2
+        assert capsys.readouterr() == ("", "error: tree must be 'T' or 'T1'\n")
 
 
 def test_verify_prop41_hypothesis_violation_not_fatal():
@@ -970,6 +999,30 @@ def test_scan_resume_refuses_incomplete_size(tmp_path):
     assert proc.returncode == 2
     assert "size 2 is incomplete (0 of 1 trees)" in proc.stderr
     assert not missing.exists()
+
+
+def test_scan_resume_refuses_a_repeated_or_extra_tree(tmp_path):
+    whole = tmp_path / "whole.jsonl"
+    assert run_cli("scan", "trees", "--nmax", "4", "--out", str(whole)).returncode == 0
+    lines = whole.read_bytes().splitlines(keepends=True)  # sizes 2, 3, 4, 4
+    other = lines[1].replace(b'"code": "KCgpKCkp"', b'"code": "KCgpKQ=="')  # a larger code
+    for name, kept, message in (
+        # the first size-4 line copied over the second: one tree lost, counts intact
+        ("copied", [*lines[:3], lines[2]], "line 4: size 4 repeats a tree or is out of order;"
+                                           " resume with --nmin 4"),
+        ("repeated", [*lines[:2], lines[1], *lines[2:]],
+         "line 3: size 3 repeats a tree or is out of order; resume with --nmin 3"),
+        ("swapped", [lines[0], lines[1], lines[3], lines[2]],
+         "line 4: size 4 repeats a tree or is out of order; resume with --nmin 4"),
+        ("extra", [*lines[:2], other, *lines[2:]],
+         "size 3 has 2 lines for its 1 trees; resume with --nmin 3"),
+    ):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_bytes(b"".join(kept))
+        proc = run_cli("scan", "trees", "--nmin", "5", "--nmax", "5", "--out", str(path))
+        assert (proc.returncode, proc.stdout) == (2, ""), name
+        assert proc.stderr == f"error: {path}: {message}\n", name
+        assert path.read_bytes() == b"".join(kept), name
 
 
 def test_scan_io_error_exit_4(tmp_path):

@@ -19,7 +19,6 @@ from indpoly.engine import (
     independence_polynomial,
 )
 from indpoly.graphs import (
-    FamilySpec,
     Graph,
     GraphError,
     alpha,
@@ -34,50 +33,46 @@ from indpoly.products import disjoint_union, join
 from indpoly.verify import distinct_trees
 
 
-def fam(kind, *params):
-    return build_family(FamilySpec(kind, params))
-
-
 # ---------------------------------------------------------------------------
 # pinned values
 # ---------------------------------------------------------------------------
 
 
 def test_counterexample_join():
-    k4 = fam("complete", 4)
-    g = join(disjoint_union(disjoint_union(k4, k4), k4), fam("complete", 37))
+    k4 = build_family("complete", 4)
+    g = join(disjoint_union(disjoint_union(k4, k4), k4), build_family("complete", 37))
     assert independence_polynomial(g) == IntPoly((1, 49, 48, 64))
 
 
 def test_small_named_graphs():
-    assert independence_polynomial(fam("path", 3)) == IntPoly((1, 3, 1))
-    assert independence_polynomial(fam("cycle", 4)) == IntPoly((1, 4, 2))
-    assert independence_polynomial(fam("cycle", 5)) == IntPoly((1, 5, 5))
-    assert independence_polynomial(fam("path", 4)) == IntPoly((1, 4, 3))
+    assert independence_polynomial(build_family("path", 3)) == IntPoly((1, 3, 1))
+    assert independence_polynomial(build_family("cycle", 4)) == IntPoly((1, 4, 2))
+    assert independence_polynomial(build_family("cycle", 5)) == IntPoly((1, 5, 5))
+    assert independence_polynomial(build_family("path", 4)) == IntPoly((1, 4, 3))
 
 
 def test_brute_force_closed_forms():
     for m in range(1, 8):
-        assert brute_force_independence_polynomial(fam("complete", m)) == IntPoly((1, m))
-        assert brute_force_independence_polynomial(fam("empty", m)) == ONE_PLUS_X ** m
-    k23 = fam("complete_multipartite", 2, 3)
+        assert brute_force_independence_polynomial(build_family("complete", m)) == IntPoly((1, m))
+        assert brute_force_independence_polynomial(build_family("empty", m)) == ONE_PLUS_X ** m
+    k23 = build_family("complete_multipartite", 2, 3)
     assert brute_force_independence_polynomial(k23) == IntPoly((1, 5, 4, 1))
 
 
 def test_brute_force_cap():
     with pytest.raises(GraphError):
-        brute_force_independence_polynomial(fam("empty", 25))
+        brute_force_independence_polynomial(build_family("empty", 25))
 
 
 def test_packed_slots_closed_forms():
     # the largest coefficients a 64-vertex input can produce; a slot that
     # carried would corrupt the coefficient above it
-    assert independence_polynomial(fam("empty", 64)) == ONE_PLUS_X ** 64
+    assert independence_polynomial(build_family("empty", 64)) == ONE_PLUS_X ** 64
     matching = Graph.from_edges(64, [(2 * i, 2 * i + 1) for i in range(32)])
     assert independence_polynomial(matching) == IntPoly((1, 2)) ** 32
-    assert independence_polynomial(fam("star", 63)) == ONE_PLUS_X ** 63 + IntPoly((0, 1))
-    assert independence_polynomial(fam("complete", 64)) == IntPoly((1, 64))
-    k3232 = fam("complete_multipartite", 32, 32)
+    assert independence_polynomial(build_family("star", 63)) == ONE_PLUS_X ** 63 + IntPoly((0, 1))
+    assert independence_polynomial(build_family("complete", 64)) == IntPoly((1, 64))
+    k3232 = build_family("complete_multipartite", 32, 32)
     assert independence_polynomial(k3232) == 2 * ONE_PLUS_X ** 32 - 1
 
 
@@ -198,7 +193,7 @@ def test_frontier_order_width():
     rng = random.Random(88)
     for g in (grid(8, 8), relabeled(rng, grid(8, 8))):
         assert max(frontier_widths(g, frontier_order(g.adj, g.full_mask, NO_BUDGET)[0])) <= 8
-    for g in (fam("cycle", 40), fam("path", 64), relabeled(rng, fam("cycle", 40))):
+    for g in (build_family("cycle", 40), build_family("path", 64), relabeled(rng, build_family("cycle", 40))):
         assert max(frontier_widths(g, frontier_order(g.adj, g.full_mask, NO_BUDGET)[0])) <= 2
 
 
@@ -228,8 +223,8 @@ def test_frontier_order_matches_reference_rule():
     # the incremental scoring of frontier_order against a from-scratch
     # oracle of the documented rule: same steps, same rejections
     rng = random.Random(4040)
-    graphs = [grid(8, 8), grid(5, 7), grid(3, 10), fam("cycle", 40), fam("cycle", 9),
-              fam("path", 64), fam("path", 20), fam("ladder_h", 15)]
+    graphs = [grid(8, 8), grid(5, 7), grid(3, 10), build_family("cycle", 40), build_family("cycle", 9),
+              build_family("path", 64), build_family("path", 20), build_family("ladder_h", 15)]
     graphs += [relabeled(rng, g) for g in graphs[:7]]
     graphs += [helpers.random_regular_graph(rng, n, d)
                for d, sizes in ((3, (20, 36, 64)), (4, (24, 40, 64)), (5, (30, 40, 64)))
@@ -238,7 +233,7 @@ def test_frontier_order_matches_reference_rule():
                for n, p in ((30, 0.1), (40, 0.15), (64, 0.1), (64, 0.2), (25, 0.3))]
     # disconnected graphs
     graphs += [helpers.random_graph(rng, 40, 0.03), helpers.random_graph(rng, 64, 0.02),
-               disjoint_union(grid(4, 4), fam("cycle", 10)), fam("empty", 12)]
+               disjoint_union(grid(4, 4), build_family("cycle", 10)), build_family("empty", 12)]
     cases = [(g, g.full_mask) for g in graphs]
     # proper sub-masks, some of them disconnected
     for g in graphs[:12] + graphs[15:24]:
@@ -265,14 +260,14 @@ def test_frontier_dp_hand_written_steps():
     star = Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
     isolated = Graph.from_edges(4, [(0, 1), (1, 2)])
     two = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)])
-    path = fam("path", 6)
+    path = build_family("path", 6)
     cases = [
         # the centre last: all k leaves and the centre leave in one step
         (star, [(i, 0) for i in range(1, k + 1)] + [(0, star.full_mask)]),
         # vertex 3 is forgotten at its own introduction, first and between
         (isolated, [(3, 1 << 3), (0, 0), (1, 1 << 0), (2, 0b110)]),
         (isolated, [(0, 0), (1, 1 << 0), (3, 1 << 3), (2, 0b110)]),
-        (fam("empty", 3), [(0, 1 << 0), (1, 1 << 1), (2, 1 << 2)]),
+        (build_family("empty", 3), [(0, 1 << 0), (1, 1 << 1), (2, 1 << 2)]),
         # a path and a triangle, their steps interleaved
         (two, [(0, 0), (3, 0), (1, 1 << 0), (4, 0), (2, 0b110), (5, 0b111000)]),
         # a path introduced from both ends, meeting in the middle
@@ -318,8 +313,8 @@ def test_frontier_dp_matches_oracle_small_corpus(small_graph_corpus):
 
 
 def test_frontier_dp_packed_slots_closed_forms():
-    assert frontier_independence_polynomial(fam("empty", 64)) == ONE_PLUS_X ** 64
-    assert frontier_independence_polynomial(fam("star", 63)) == ONE_PLUS_X ** 63 + IntPoly((0, 1))
+    assert frontier_independence_polynomial(build_family("empty", 64)) == ONE_PLUS_X ** 64
+    assert frontier_independence_polynomial(build_family("star", 63)) == ONE_PLUS_X ** 63 + IntPoly((0, 1))
     assert frontier_independence_polynomial(Graph.from_edges(0, [])) == IntPoly((1,))
 
 
@@ -409,8 +404,8 @@ def test_dispatch_hands_narrow_components_to_dp(monkeypatch):
     monkeypatch.setattr(engine, "frontier_dp", lambda *args: calls.append(1) or dp(*args))
     # below the floor (the tree scan's trees have at most 14 vertices) the
     # DP is never asked
-    independence_polynomial(fam("path", engine._DP_MIN_VERTICES - 1))
-    independence_polynomial(fam("star", 13))
+    independence_polynomial(build_family("path", engine._DP_MIN_VERTICES - 1))
+    independence_polynomial(build_family("star", 13))
     assert calls == []
     assert independence_polynomial(grid(8, 8)) == branching_independence_polynomial(grid(8, 8))
     assert calls == [1]
@@ -460,8 +455,8 @@ def test_engine_work_is_pinned(monkeypatch):
     monkeypatch.setattr(engine, "tree_dp", lambda *args: counts.update(["tree"]) or tree(*args))
     cases = [
         (grid(8, 8), (1, 0, 1, 0)),  # the root goes to the DP
-        (fam("cycle", 40), (1, 0, 1, 0)),
-        (fam("path", 64), (0, 0, 0, 1)),  # the root goes to tree_dp
+        (build_family("cycle", 40), (1, 0, 1, 0)),
+        (build_family("path", 64), (0, 0, 0, 1)),  # the root goes to tree_dp
         # bag branching on a sparse graph that no single order fits
         (helpers.random_regular_graph(random.Random(1), 64, 4), (53, 52, 53, 0)),
         # mean degree 7.5: branching crosses the gate before anything is ordered
@@ -552,9 +547,9 @@ def test_tree_dp_above_brute_force_cap(tree_dp_masks):
         assert tree_dp_masks == [g.full_mask]
         tree_dp_masks.clear()
     # closed forms at the packed-slot limit: i_k(P_64) = C(65 - k, k)
-    path = independence_polynomial(fam("path", 64))
+    path = independence_polynomial(build_family("path", 64))
     assert path == IntPoly(tuple(comb(65 - k, k) for k in range(33)))
-    assert independence_polynomial(fam("star", 63)) == ONE_PLUS_X ** 63 + IntPoly((0, 1))
+    assert independence_polynomial(build_family("star", 63)) == ONE_PLUS_X ** 63 + IntPoly((0, 1))
     assert tree_dp_masks == [(1 << 64) - 1, (1 << 64) - 1]
 
 
@@ -578,8 +573,8 @@ def test_recursion_hands_tree_components_to_tree_dp(tree_dp_masks, monkeypatch):
     # under the DP floor a cycle branches once, on vertex 0, and leaves the
     # two paths G - 0 and G - N[0]
     n = engine._DP_MIN_VERTICES - 1
-    assert independence_polynomial(fam("cycle", n)) == branching_independence_polynomial(
-        fam("cycle", n))
+    assert independence_polynomial(build_family("cycle", n)) == branching_independence_polynomial(
+        build_family("cycle", n))
     full = (1 << n) - 1
     assert tree_dp_masks == [full & ~1, full & ~0b11 & ~(1 << (n - 1))]
     # cycle:40 is narrow, so the frontier DP takes it whole at the root
@@ -587,7 +582,7 @@ def test_recursion_hands_tree_components_to_tree_dp(tree_dp_masks, monkeypatch):
     dp_calls = []
     dp = engine.frontier_dp
     monkeypatch.setattr(engine, "frontier_dp", lambda *args: dp_calls.append(1) or dp(*args))
-    independence_polynomial(fam("cycle", 40))
+    independence_polynomial(build_family("cycle", 40))
     assert dp_calls == [1] and tree_dp_masks == []
     # dense graphs above the cap, whose mean degree keeps them branching:
     # trees are left deep in the recursion
@@ -605,11 +600,11 @@ def test_recursion_hands_tree_components_to_tree_dp(tree_dp_masks, monkeypatch):
 
 
 def test_coefficient_closed_forms():
-    c5 = fam("cycle", 5)
+    c5 = build_family("cycle", 5)
     i_c5 = independence_polynomial(c5)
     assert i_c5.coefficient(1) == 5
     assert i_c5.coefficient(2) == 10 - 5
-    assert independence_polynomial(fam("complete", 4)).coefficient(3) == 0
+    assert independence_polynomial(build_family("complete", 4)).coefficient(3) == 0
     assert i_c5.coefficient(0) == 1
 
 

@@ -14,7 +14,6 @@ from indpoly.cli import load_graph_source
 from indpoly.graphs import (
     FAMILIES,
     CapacityError,
-    FamilySpec,
     Graph,
     GraphError,
     GraphParseError,
@@ -33,7 +32,7 @@ from indpoly.graphs import (
 )
 
 
-def test_graph_and_family_spec_are_values():
+def test_graph_is_a_value():
     g = Graph.from_edges(3, [(0, 1)])
     same = Graph(3, (2, 1, 0))
     assert g == same and hash(g) == hash(same)
@@ -42,19 +41,6 @@ def test_graph_and_family_spec_are_values():
     assert pickle.loads(pickle.dumps(g)) == g
     with pytest.raises(AttributeError):
         g.n = 4
-
-    spec = FamilySpec("path", (4,))
-    same = FamilySpec("path", ["4"])  # params are coerced to a tuple of ints
-    assert spec == same and hash(spec) == hash(same) and same.params == (4,)
-    assert spec != FamilySpec("path", (5,)) and spec != FamilySpec("cycle", (4,))
-    assert repr(spec) == "FamilySpec(kind='path', params=(4,))"
-    assert pickle.loads(pickle.dumps(spec)) == spec
-    with pytest.raises(AttributeError):
-        spec.kind = "cycle"
-    with pytest.raises(GraphError):
-        FamilySpec("bogus")
-    with pytest.raises(GraphError):
-        FamilySpec("path", (-1,))
 
 
 def test_from_edges_refuses_bad_input():
@@ -312,43 +298,41 @@ def test_graph6_roundtrip_long_form():
 
 
 def test_family_pendant_ladder_bases():
-    g0 = build_family(FamilySpec("pendant_ladder_g", (0,)))
+    g0 = build_family("pendant_ladder_g", 0)
     assert g0.n == 1 and g0.edge_count() == 0
-    g1 = build_family(FamilySpec("pendant_ladder_g", (1,)))
-    p3 = build_family(FamilySpec("path", (3,)))
+    g1 = build_family("pendant_ladder_g", 1)
+    p3 = build_family("path", 3)
     assert tree_canonical_code(g1) == tree_canonical_code(p3)  # G_1 = K_{1,2}
 
 
 def test_family_ladder():
-    h3 = build_family(FamilySpec("ladder_h", (3,)))
+    h3 = build_family("ladder_h", 3)
     assert h3.n == 6 and h3.edge_count() == 7
-    assert build_family(FamilySpec("ladder_h", (0,))).n == 0
-    h1 = build_family(FamilySpec("ladder_h", (1,)))
+    assert build_family("ladder_h", 0).n == 0
+    h1 = build_family("ladder_h", 1)
     assert h1.n == 2 and h1.edge_count() == 1  # H_1 = K_2
 
 
 def test_family_multipartite():
-    k23 = build_family(FamilySpec("complete_multipartite", (2, 3)))
+    k23 = build_family("complete_multipartite", 2, 3)
     assert k23.n == 5 and k23.edge_count() == 6
     with pytest.raises(GraphError):
-        build_family(FamilySpec("complete_multipartite", ()))
+        build_family("complete_multipartite")
 
 
 def test_family_misc():
-    assert build_family(FamilySpec("star", (3,))).n == 4
-    assert build_family(FamilySpec("complete", (4,))).edge_count() == 6
-    assert build_family(FamilySpec("empty", (5,))).edge_count() == 0
+    assert build_family("star", 3).n == 4
+    assert build_family("complete", 4).edge_count() == 6
+    assert build_family("empty", 5).edge_count() == 0
     with pytest.raises(GraphError):
-        build_family(FamilySpec("cycle", (2,)))
-    with pytest.raises(GraphError):
-        FamilySpec("no_such_family", ())
+        build_family("cycle", 2)
 
 
 def test_family_reference_trees():
-    t = build_family(FamilySpec("tree_t"))
+    t = build_family("tree_t")
     assert t.n == 5 and t.edge_count() == 4
     assert sorted(t.degree(v) for v in range(5)) == [1, 1, 1, 2, 3]
-    t1 = build_family(FamilySpec("tree_t1"))
+    t1 = build_family("tree_t1")
     assert t1.n == 6 and t1.edge_count() == 5
     assert sorted(t1.degree(v) for v in range(6)) == [1, 1, 1, 2, 2, 3]
     # both contain an induced claw, which is their whole point
@@ -361,10 +345,10 @@ def test_family_reference_trees():
 
 
 def test_delete_vertex_examples():
-    p3 = build_family(FamilySpec("path", (3,)))
+    p3 = build_family("path", 3)
     g = delete_vertex(p3, 1)
     assert g.n == 2 and g.edge_count() == 0
-    k4 = build_family(FamilySpec("complete", (4,)))
+    k4 = build_family("complete", 4)
     assert delete_closed_neighborhood(k4, 2).n == 0
     with pytest.raises(GraphError):
         delete_vertex(p3, 3)
@@ -382,14 +366,14 @@ def test_delete_two_ways_agree():
 
 
 def test_components():
-    k4 = build_family(FamilySpec("complete", (4,)))
+    k4 = build_family("complete", 4)
     from indpoly.products import disjoint_union
 
     three_k4 = disjoint_union(disjoint_union(k4, k4), k4)
     comps = components(three_k4)
     assert len(comps) == 3 and all(c.bit_count() == 4 for c in comps)
-    assert len(components(build_family(FamilySpec("cycle", (5,))))) == 1
-    assert components(build_family(FamilySpec("empty", (3,)))) == [1, 2, 4]
+    assert len(components(build_family("cycle", 5))) == 1
+    assert components(build_family("empty", 3)) == [1, 2, 4]
 
 
 @given(st.integers(0, 10 ** 9), st.integers(2, 10), st.integers(0, 100))
@@ -425,10 +409,10 @@ def _alpha_brute(g: Graph) -> int:
 
 
 def test_alpha_examples():
-    assert alpha(build_family(FamilySpec("star", (3,)))) == 3
-    assert alpha(build_family(FamilySpec("complete", (4,)))) == 1
+    assert alpha(build_family("star", 3)) == 3
+    assert alpha(build_family("complete", 4)) == 1
     for n in range(0, 7):
-        g = build_family(FamilySpec("pendant_ladder_g", (n,)))
+        g = build_family("pendant_ladder_g", n)
         assert alpha(g) == n + 1
 
 
@@ -464,8 +448,8 @@ def _maximal_set_sizes(g: Graph) -> set[int]:
 
 
 def test_is_well_covered_examples():
-    assert is_well_covered(build_family(FamilySpec("cycle", (4,))))
-    assert not is_well_covered(build_family(FamilySpec("path", (3,))))
+    assert is_well_covered(build_family("cycle", 4))
+    assert not is_well_covered(build_family("path", 3))
 
 
 def test_is_well_covered_matches_maximal_enumeration():
@@ -483,17 +467,17 @@ def test_pendant_doubling_is_well_covered():
     from indpoly.products import rooted_product
 
     rng = random.Random(314)
-    k2 = build_family(FamilySpec("path", (2,)))
+    k2 = build_family("path", 2)
     for _ in range(25):
         g = helpers.random_graph(rng, rng.randint(1, 10), rng.random())
         assert is_well_covered(rooted_product(g, k2, 0))
 
 
 def test_is_claw_free():
-    assert not is_claw_free(build_family(FamilySpec("star", (3,))))
-    assert is_claw_free(build_family(FamilySpec("cycle", (5,))))
+    assert not is_claw_free(build_family("star", 3))
+    assert is_claw_free(build_family("cycle", 5))
     for k in range(1, 9):
-        assert is_claw_free(build_family(FamilySpec("path", (k,))))
+        assert is_claw_free(build_family("path", k))
 
 
 def _has_claw_brute(g: Graph) -> bool:
@@ -519,10 +503,10 @@ def test_is_claw_free_matches_brute_force():
 
 
 def test_tree_code_isomorphism_invariance():
-    p4 = build_family(FamilySpec("path", (4,)))
+    p4 = build_family("path", 4)
     relabeled = parse_edge_list(text_lines("4 3\n2 0\n0 3\n3 1"))  # still a path
     assert tree_canonical_code(p4) == tree_canonical_code(relabeled)
-    star = build_family(FamilySpec("star", (3,)))
+    star = build_family("star", 3)
     assert tree_canonical_code(star) != tree_canonical_code(p4)
 
 
@@ -548,9 +532,9 @@ def test_tree_code_survives_relabelling_up_to_64_vertices():
 
 def test_tree_code_rejects_non_trees():
     with pytest.raises(GraphError):
-        tree_canonical_code(build_family(FamilySpec("cycle", (4,))))
+        tree_canonical_code(build_family("cycle", 4))
     with pytest.raises(GraphError):
-        tree_canonical_code(build_family(FamilySpec("empty", (2,))))
+        tree_canonical_code(build_family("empty", 2))
 
 
 def eccentricity_centers(g):
@@ -642,7 +626,7 @@ def test_family_cap_checked_before_edges(monkeypatch):
     at_cap = {kind for (kind, _), _ in _FAMILIES_AT_CAP}
     assert at_cap | {"tree_t", "tree_t1"} == set(FAMILIES)
     for (kind, params), _ in _FAMILIES_AT_CAP:
-        g = build_family(FamilySpec(kind, params))
+        g = build_family(kind, *params)
         assert g.n == (63 if kind == "pendant_ladder_g" else 64), kind
 
     def refuse(cls, n, edges):
@@ -651,4 +635,28 @@ def test_family_cap_checked_before_edges(monkeypatch):
     monkeypatch.setattr(Graph, "from_edges", classmethod(refuse))
     for _, (kind, params) in _FAMILIES_AT_CAP:
         with pytest.raises(CapacityError):
-            build_family(FamilySpec(kind, params))
+            build_family(kind, *params)
+    # every other refusal comes before any edge too
+    for args, error, message in (
+        (("no_such_family",), GraphError, "unknown family name 'no_such_family'"),
+        ((4,), GraphError, "unknown family name 4"),
+        (("path", -1), GraphError, "family parameters must be nonnegative"),
+        (("multipartite", 2, -3), GraphError, "family parameters must be nonnegative"),
+        (("path", "4"), TypeError, "family parameter must be an int, got str"),
+        (("path", 4.0), TypeError, "family parameter must be an int, got float"),
+        (("path", True), TypeError, "family parameter must be an int, got bool"),
+        (("path",), GraphError, "family path takes 1 parameter, got 0"),
+        (("T", 1), GraphError, "family tree_t takes 0 parameters, got 1"),
+        (("cycle", 3, 4), GraphError, "family cycle takes 1 parameter, got 2"),
+    ):
+        with pytest.raises(error, match=f"^{message}$"):
+            build_family(*args)
+
+
+def test_every_family_name_builds_its_kind_in_any_case():
+    for kind, family in FAMILIES.items():
+        params = (1, 2) if family.arity is None else (3,) * family.arity
+        expected = Graph.from_edges(family.order(*params), family.edges(*params))
+        for name in (kind, *family.aliases):
+            for spelled in (name.lower(), name.upper()):
+                assert build_family(spelled, *params) == expected, spelled

@@ -5,7 +5,7 @@ import pytest
 import helpers
 from indpoly import engine
 from indpoly.engine import brute_force_independence_polynomial, independence_polynomial
-from indpoly.graphs import CapacityError, FamilySpec, GraphError, build_family
+from indpoly.graphs import CapacityError, GraphError, build_family
 from indpoly.polynomials import ONE_PLUS_X, IntPoly, is_log_concave
 from indpoly.products import (
     disjoint_union,
@@ -21,10 +21,6 @@ from indpoly.products import (
 )
 
 
-def fam(kind, *params):
-    return build_family(FamilySpec(kind, params))
-
-
 def ip(g):
     return independence_polynomial(g)
 
@@ -35,16 +31,16 @@ def ip(g):
 
 
 def test_union_and_join_structure():
-    e2, e3 = fam("empty", 2), fam("empty", 3)
+    e2, e3 = build_family("empty", 2), build_family("empty", 3)
     k23 = join(e2, e3)
     assert k23.n == 5 and k23.edge_count() == 6
     assert brute_force_independence_polynomial(k23) == IntPoly((1, 5, 4, 1))
-    u = disjoint_union(fam("complete", 3), fam("complete", 2))
+    u = disjoint_union(build_family("complete", 3), build_family("complete", 2))
     assert u.edge_count() == 4 and len(u.adj) == 5
 
 
 def test_lexicographic_small_cases():
-    k2, e2 = fam("complete", 2), fam("empty", 2)
+    k2, e2 = build_family("complete", 2), build_family("empty", 2)
     assert lexicographic(k2, k2).edge_count() == 6  # K4
     two_k2 = lexicographic(e2, k2)
     assert sorted(two_k2.degree(v) for v in range(4)) == [1, 1, 1, 1]
@@ -71,13 +67,13 @@ def test_lexicographic_matches_definition():
 
 
 def test_rooted_product_structure():
-    p2 = fam("path", 2)
+    p2 = build_family("path", 2)
     p4 = rooted_product(p2, p2, 0)
     assert ip(p4) == IntPoly((1, 4, 3))
-    h = fam("cycle", 5)
-    assert rooted_product(fam("complete", 1), h, 3) == h
+    h = build_family("cycle", 5)
+    assert rooted_product(build_family("complete", 1), h, 3) == h
     with pytest.raises(CapacityError):
-        rooted_product(fam("empty", 9), fam("empty", 8), 0)
+        rooted_product(build_family("empty", 9), build_family("empty", 8), 0)
     with pytest.raises(Exception):
         rooted_product(p2, p2, 5)
 
@@ -113,9 +109,9 @@ def test_rooted_product_poly_examples():
 def test_rooted_identity_at_the_horner_bounds():
     # an edgeless G has alpha = n, so no power of I(h - root) is left over
     # once the Horner pass is done; K1 has the shortest pass
-    for h, root in ((fam("path", 4), 1), (fam("star", 3), 0), (fam("cycle", 5), 2)):
+    for h, root in ((build_family("path", 4), 1), (build_family("star", 3), 0), (build_family("cycle", 5), 2)):
         ihv, ihnv = rooted_factors(h, root)
-        for g in (fam("complete", 1), fam("empty", 1), fam("empty", 6)):
+        for g in (build_family("complete", 1), build_family("empty", 1), build_family("empty", 6)):
             formula = rooted_product_poly(ip(g), ihv, ihnv, g.n)
             assert ip(rooted_product(g, h, root)) == formula
         assert rooted_product_poly(IntPoly(), ihv, ihnv, 3) == IntPoly()
@@ -142,8 +138,8 @@ def test_lex_identity_random(monkeypatch):
     calls = []
     dp = engine.frontier_dp
     monkeypatch.setattr(engine, "frontier_dp", lambda *args: calls.append(1) or dp(*args))
-    for g1 in (fam("path", 21), fam("path", 32), fam("cycle", 30), fam("ladder_h", 16)):
-        for g2 in (fam("complete", 2), fam("empty", 2)):
+    for g1 in (build_family("path", 21), build_family("path", 32), build_family("cycle", 30), build_family("ladder_h", 16)):
+        for g2 in (build_family("complete", 2), build_family("empty", 2)):
             calls.clear()
             graph_level = ip(lexicographic(g1, g2))
             assert calls, (g1.n, g2.edge_count())
@@ -151,7 +147,7 @@ def test_lex_identity_random(monkeypatch):
 
 
 def test_rooted_factors_refuses_a_root_out_of_range():
-    h = fam("tree_t")
+    h = build_family("tree_t")
     for root in (-1, h.n):
         with pytest.raises(GraphError):
             rooted_factors(h, root)
@@ -197,7 +193,7 @@ def test_multipartite_poly_examples():
 def test_multipartite_poly_matches_engine_for_all_partitions():
     for total in range(1, 15):
         for parts in helpers.integer_partitions(total):
-            g = fam("complete_multipartite", *parts)
+            g = build_family("complete_multipartite", *parts)
             assert multipartite_poly(parts) == ip(g), parts
 
 
@@ -210,6 +206,6 @@ def test_bipartite_always_log_concave():
 
 def test_capacity_overflow():
     with pytest.raises(CapacityError):
-        join(fam("empty", 40), fam("empty", 40))
+        join(build_family("empty", 40), build_family("empty", 40))
     with pytest.raises(CapacityError):
-        lexicographic(fam("empty", 9), fam("empty", 8))
+        lexicographic(build_family("empty", 9), build_family("empty", 8))

@@ -12,11 +12,10 @@ import pytest
 
 import helpers
 from helpers import rooted_product_factor_inequalities, well_covered_coefficient_bound
-from indpoly import verify
+from indpoly import graphs, verify
 from indpoly.engine import brute_force_independence_polynomial, independence_polynomial
 from indpoly.graphs import (
     CapacityError,
-    FamilySpec,
     GraphError,
     _ahu_code,
     _tree_centers,
@@ -67,10 +66,6 @@ from indpoly.verify import (
 )
 
 
-def fam(kind, *params):
-    return build_family(FamilySpec(kind, params))
-
-
 # ---------------------------------------------------------------------------
 # composition conditions
 # ---------------------------------------------------------------------------
@@ -115,13 +110,33 @@ def test_increasing_special_case_implies_condition():
 
 
 def test_well_covered_composition_examples():
-    c4 = fam("cycle", 4)
+    c4 = build_family("cycle", 4)
     v = well_covered_composition_condition(c4, c4)
     assert v.holds and v.conclusion_checked
-    assert not well_covered_composition_condition(fam("path", 3), c4).holds
-    k2 = fam("complete", 2)
+    assert not well_covered_composition_condition(build_family("path", 3), c4).holds
+    k2 = build_family("complete", 2)
     v = well_covered_composition_condition(k2, k2)
     assert v.holds and v.conclusion_checked
+
+
+def test_well_covered_composition_finds_each_alpha_once(monkeypatch):
+    # alpha(g1) is read off deg I(g1); is_well_covered finds each graph's alpha
+    # once, and graphs.alpha stays apart from the engine
+    calls = []
+    real_alpha = graphs.alpha
+
+    def counted(g):
+        calls.append(g)
+        return real_alpha(g)
+
+    monkeypatch.setattr(graphs, "alpha", counted)
+    e3, k2, k3 = build_family("empty", 3), build_family("complete", 2), build_family("complete", 3)
+    assert well_covered_composition_condition(e3, k3) == (
+        "well-covered-composition", True, None, True
+    )
+    assert calls == [e3, k3]
+    # |V(g2)| >= alpha(g1) = 3 is the hypothesis that fails
+    assert not well_covered_composition_condition(e3, k2).holds
 
 
 def test_condition_verdict_ok_truth_table():
@@ -139,12 +154,12 @@ def test_condition_verdict_ok_truth_table():
 
 
 def test_well_covered_coefficient_bound():
-    assert well_covered_coefficient_bound(fam("cycle", 4))
-    assert well_covered_coefficient_bound(fam("cycle", 5))
+    assert well_covered_coefficient_bound(build_family("cycle", 4))
+    assert well_covered_coefficient_bound(build_family("cycle", 5))
     with pytest.raises(GraphError):
-        well_covered_coefficient_bound(fam("path", 3))
+        well_covered_coefficient_bound(build_family("path", 3))
     rng = random.Random(2)
-    k2 = fam("path", 2)
+    k2 = build_family("path", 2)
     for _ in range(30):
         g = helpers.random_graph(rng, rng.randint(1, 10), rng.random())
         assert well_covered_coefficient_bound(rooted_product(g, k2, 0))
@@ -171,25 +186,26 @@ def test_tree_factor_identities_all_hold():
 
 
 def test_rooted_tree_product_examples():
-    p4 = fam("path", 4)
+    p4 = build_family("path", 4)
     v = rooted_tree_product_check(p4, "T", 1)
     assert v.conclusion_checked and "real-rooted" in v.condition_name
     v = rooted_tree_product_check(p4, "T", 4)
     assert v.conclusion_checked and "log-concave" in v.condition_name
-    v = rooted_tree_product_check(fam("cycle", 5), "T1", 2)
+    v = rooted_tree_product_check(build_family("cycle", 5), "T1", 2)
     assert v.conclusion_checked and "log-concave" in v.condition_name
 
 
 def test_rooted_tree_product_hypothesis_failure():
-    claw = fam("star", 3)  # I(claw) is not real-rooted
+    claw = build_family("star", 3)  # I(claw) is not real-rooted
     for tree, root, kind in (("T", 1, "real-rooted"), ("T1", 4, "log-concave")):
         assert rooted_tree_product_check(claw, tree, root) == (
             f"rooted-tree-product:{tree}:root{root}:{kind}", False, None, None
         )
+    for tree in ("T2", "path", "T₁", "tree_t"):
+        with pytest.raises(ValueError, match="^tree must be 'T' or 'T1'$"):
+            rooted_tree_product_check(build_family("path", 4), tree, 1)
     with pytest.raises(ValueError):
-        rooted_tree_product_check(fam("path", 4), "T2", 1)
-    with pytest.raises(ValueError):
-        rooted_tree_product_check(fam("path", 4), "T", 5)
+        rooted_tree_product_check(build_family("path", 4), "T", 5)
 
 
 def test_factor_inequalities():
@@ -242,7 +258,7 @@ def test_recurrence_bases_and_steps():
 
 def test_recurrence_matches_engine():
     for n in range(0, 21):
-        g = fam("pendant_ladder_g", n)
+        g = build_family("pendant_ladder_g", n)
         assert independence_polynomial(g) == pendant_ladder_recurrence(n), n
     # the one-pass check, up to the last G_n under the vertex cap
     assert pendant_ladder_graph_check(31) == [{"n": n, "match": True} for n in range(32)]
@@ -253,7 +269,7 @@ def test_pendant_ladders_answer_the_open_problem():
     # that is not a tree, with I symmetric and real-rooted; G_n, n = alpha - 1,
     # is one for alpha = 5..31, with alpha found apart from the engine
     for n in range(4, 31, 2):
-        g = fam("pendant_ladder_g", n)
+        g = build_family("pendant_ladder_g", n)
         assert len(components(g)) == 1, n
         assert g.edge_count() >= g.n, n
         poly = independence_polynomial(g)
