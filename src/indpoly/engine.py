@@ -27,11 +27,16 @@ unpacked into an ``IntPoly`` once, at the end.
 The frontier DP follows a path decomposition (H. Bodlaender, "A tourist guide
 through treewidth", 1993).  ``frontier_order`` introduces the vertices of a
 mask one at a time, greedily keeping the frontier small: the frontier is the
-set of introduced vertices with a neighbour still to come.  A DP state is an
-independent subset of the frontier; introducing a vertex extends each state it
-has no neighbour in, and a vertex leaves the states once its last neighbour is
-in.  A step with frontier width w touches at most 2^w states, so the sum of
-2^w over the steps estimates the DP's cost before it runs.
+set of introduced vertices with a neighbour still to come.  A DP state is
+keyed by the vertices still to come that a chosen independent set blocks,
+N(S) minus the introduced vertices, as in the neighbourhood-equivalence DP
+of B.-M. Bui-Xuan, J. A. Telle and M. Vatshelle ("Fast dynamic programming
+for locally checkable vertex subset and vertex partitioning problems", TCS
+2013).  Two chosen sets that block the same vertices extend in exactly the
+same ways, so their values add under one key.  Only the frontier vertices of
+S block anything still to come, so the keys are images of independent
+frontier subsets: a step with frontier width w holds at most 2^w states, and
+the sum of 2^w over the steps bounds the DP's cost before it runs.
 
 Dispatch: a connected node with an edge has its degrees summed once.  If it
 has one edge fewer than vertices it is a tree, of any size, and ``tree_dp``
@@ -61,7 +66,7 @@ BRUTE_FORCE_CAP = 24
 # Dispatch thresholds of the frontier DP (see the module docstring).
 _DP_MIN_VERTICES = 20
 _DP_MAX_MEAN_DEGREE = 5
-_DP_BUDGET_PER_VERTEX = 512
+_DP_BUDGET_PER_VERTEX = 2048
 
 
 def independence_polynomial(g: Graph) -> IntPoly:
@@ -91,11 +96,11 @@ def independence_polynomial(g: Graph) -> IntPoly:
                 # connected with size - 1 edges: a tree
                 result = tree_dp(adj, mask, width)
             else:
-                steps = bag = None
+                order = bag = None
                 if size >= _DP_MIN_VERTICES and degree_sum <= _DP_MAX_MEAN_DEGREE * size:
-                    steps, bag = frontier_order(adj, mask, _DP_BUDGET_PER_VERTEX * size)
-                if steps is not None:
-                    result = frontier_dp(adj, steps, width)
+                    order, bag = frontier_order(adj, mask, _DP_BUDGET_PER_VERTEX * size)
+                if order is not None:
+                    result = frontier_dp(adj, order, width)
                 else:
                     if bag is not None:
                         # removing a vertex of the bag that broke the
@@ -108,21 +113,20 @@ def independence_polynomial(g: Graph) -> IntPoly:
     return _unpack(solve(g.full_mask), width)
 
 
-def frontier_order(adj, mask: int, budget: int
-                   ) -> tuple[list[tuple[int, int]] | None, int | None]:
-    """A vertex order of the mask for ``frontier_dp``, as (steps, None): one
-    (vertex, forget mask) pair per step, the forget mask naming the vertices
-    that leave the frontier once the vertex is in.
+def frontier_order(adj, mask: int, budget: int) -> tuple[list[int] | None, int | None]:
+    """A vertex order of the mask for ``frontier_dp``, as (order, None).
 
     Each step introduces, among the neighbours of the frontier, the vertex
-    that leaves the smallest frontier; ties go to the vertex with more
-    neighbours in the frontier, then to the lower index.  When the frontier
-    has no neighbour left (at the start, or between components), a vertex of
-    least degree starts the next run.  As soon as the sum of 2^(frontier
-    width) over the steps passes ``budget``, the order is abandoned and
-    (None, bag) returned: the bag is the frontier plus the vertex just added.
-    An order of at most 64 steps of width at most 64 costs at most 2^70, so
-    that budget keeps every order.
+    that leaves the smallest frontier; ties go to the vertex that adds the
+    fewest new vertices to the boundary (its neighbours still to come that
+    no frontier vertex reaches yet), then to the vertex with more neighbours
+    in the frontier, then to the lower index.  When the frontier has no
+    neighbour left (at the start, or between components), a vertex of least
+    degree starts the next run.  As soon as the sum of 2^(frontier width)
+    over the steps passes ``budget``, the order is abandoned and (None, bag)
+    returned: the bag is the frontier plus the vertex just added.  An order
+    of at most 64 steps of width at most 64 costs at most 2^70, so that
+    budget keeps every order.
 
     Introducing v leaves a frontier of width + (v has a neighbour to come) -
     sole[v], where sole[v] counts the frontier vertices whose only neighbour
@@ -132,7 +136,7 @@ def frontier_order(adj, mask: int, budget: int
     # entries outside the mask are never read
     remaining = [row & mask for row in adj]
     sole = [0] * len(adj)
-    steps = []
+    order = []
     frontier = 0
     width = 0
     # the vertices still to come with a neighbour in the frontier
@@ -142,17 +146,18 @@ def frontier_order(adj, mask: int, budget: int
     while todo:
         if not candidates:
             candidates = 1 << min(_bits(todo), key=lambda v: remaining[v].bit_count())
-        best_v, best_size, best_links = -1, 65, 0
+        best_v, best = -1, (65,)
         rest = candidates
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
             rest ^= low
             size = width + (remaining[v] != 0) - sole[v]
-            if size <= best_size:
-                links = (adj[v] & frontier).bit_count()
-                if size < best_size or links > best_links:
-                    best_v, best_size, best_links = v, size, links
+            if size <= best[0]:
+                score = (size, (remaining[v] & ~candidates).bit_count(),
+                         -(adj[v] & frontier).bit_count())
+                if score < best:
+                    best_v, best = v, score
         low = 1 << best_v
         todo ^= low
         bag = frontier | low
@@ -178,12 +183,12 @@ def frontier_order(adj, mask: int, budget: int
             forget |= low
         candidates &= ~low
         frontier = bag & ~forget
-        width = best_size
-        steps.append((best_v, forget))
-        cost += 1 << best_size
+        width = best[0]
+        order.append(best_v)
+        cost += 1 << width
         if cost > budget:
             return None, bag
-    return steps, None
+    return order, None
 
 
 def tree_dp(adj, mask: int, width: int) -> int:
@@ -223,36 +228,31 @@ def tree_polynomial(parents) -> IntPoly:
     return _unpack(tree_fold(parents, width), width)
 
 
-def frontier_dp(adj, steps: list[tuple[int, int]], width: int) -> int:
-    """Packed I of the induced subgraph on the vertices of ``steps``.
+def frontier_dp(adj, order: list[int], width: int) -> int:
+    """Packed I of the induced subgraph on the vertices of ``order``.
 
-    A state is an independent subset of the current frontier and its value
-    the packed polynomial of the independent sets, among the introduced
-    vertices, that meet the frontier exactly there.  Every independent
-    subset of the frontier is a state, so the state set is downward closed:
-    a new vertex v only adds the keys s | v, for the states s it has no
-    neighbour in, and a forgotten vertex f folds each state s holding it
-    into s ^ f, a key that always exists.  A vertex forgotten at its own
-    introduction never becomes a key: it multiplies by 1 + x each state it
-    has no neighbour in.
+    A state is the set of vertices still to come that the chosen vertices
+    block, and its value the packed polynomial of the independent sets,
+    among the introduced vertices, that block exactly those.  Introducing v
+    drops v from every key; a state that does not block v may also take it,
+    which adds v's neighbours still to come to the key.
     """
+    todo = sum(1 << v for v in order)
     states = {0: 1}
-    for v, forget in steps:
+    for v in order:
         low = 1 << v
-        nbrs = adj[v]
-        if forget & low:
-            forget ^= low
-            for state, value in states.items():
-                if not state & nbrs:
-                    states[state] = value + (value << width)
-        else:
-            states.update({state | low: value << width
-                           for state, value in states.items() if not state & nbrs})
-        while forget:
-            f = forget & -forget
-            forget ^= f
-            for state in [state for state in states if state & f]:
-                states[state ^ f] += states.pop(state)
+        todo ^= low
+        nbrs = adj[v] & todo
+        # the pass reads a snapshot: a key that gains a value before its own
+        # turn still extends only its old value
+        for key, value in list(states.items()):
+            if key & low:
+                del states[key]
+                key ^= low
+                states[key] = states.get(key, 0) + value
+            else:
+                key |= nbrs
+                states[key] = states.get(key, 0) + (value << width)
     return states[0]
 
 

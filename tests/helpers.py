@@ -285,41 +285,40 @@ def frontier_independence_polynomial(g: Graph) -> IntPoly:
 def reference_frontier_order(adj, mask: int, budget=None):
     """Slow oracle of the documented ``frontier_order`` rule, scoring every
     candidate from scratch: introduce, among the neighbours of the frontier,
-    the vertex that leaves the smallest frontier, ties to more neighbours in
-    the frontier, then to the lower index; restart an empty frontier at a
-    vertex of least degree among those left.  (steps, None), or (None, bag)
-    as soon as the sum of 2^(frontier width) passes ``budget``, the bag being
-    the frontier plus the vertex just added."""
-    remaining = [adj[v] & mask if mask >> v & 1 else 0 for v in range(len(adj))]
-    steps, frontier, todo, cost = [], 0, mask, 0
+    the vertex that leaves the smallest frontier, ties to the fewest new
+    vertices on the boundary (neighbours still to come that no frontier
+    vertex reaches), then to more neighbours in the frontier, then to the
+    lower index; restart an empty frontier at a vertex of least degree among
+    those left.  (order, None), or (None, bag) as soon as the sum of
+    2^(frontier width) passes ``budget``, the bag being the frontier plus the
+    vertex just added."""
+    order, frontier, todo, cost = [], 0, mask, 0
     while todo:
         candidates = 0
         for u in _bits(frontier):
-            candidates |= remaining[u]
+            candidates |= adj[u] & todo
         if not candidates:
-            candidates = 1 << min(_bits(todo), key=lambda v: remaining[v].bit_count())
+            candidates = 1 << min(_bits(todo), key=lambda v: (adj[v] & todo).bit_count())
         best = None
         for v in _bits(candidates):
             low = 1 << v
-            forget = 0 if remaining[v] else low
-            for f in _bits(adj[v] & frontier):
-                if remaining[f] == low:
-                    forget |= 1 << f
-            size = (frontier | low).bit_count() - forget.bit_count()
+            later = todo & ~low
+            bag = frontier | low
+            size = sum(1 for u in _bits(bag) if adj[u] & later)
+            fresh = (adj[v] & later & ~candidates).bit_count()
             links = (adj[v] & frontier).bit_count()
-            if best is None or size < best[1] or (size == best[1] and links > best[2]):
-                best = (v, size, links, forget)
-        v, size, _, forget = best
+            score = (size, fresh, -links)
+            if best is None or score < best[1]:
+                best = (v, score)
+        v, (size, _, _) = best
         todo ^= 1 << v
-        for u in _bits(adj[v] & mask):
-            remaining[u] &= ~(1 << v)
         bag = frontier | 1 << v
-        frontier = bag & ~forget
-        steps.append((v, forget))
+        frontier = sum(1 << u for u in _bits(bag) if adj[u] & todo)
+        order.append(v)
         cost += 1 << size
         if budget is not None and cost > budget:
             return None, bag
-    return steps, None
+    return order, None
 
 
 def all_prufer_trees(n: int):

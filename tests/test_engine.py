@@ -173,18 +173,15 @@ def relabeled(rng, g):
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
-def frontier_widths(g, steps):
-    """Frontier size after each step, recomputed from the vertex order alone:
-    the introduced vertices that still have a neighbour to come."""
-    order = [v for v, _ in steps]
-    assert sorted(order) == list(range(g.n))
-    widths, done, frontier = [], 0, 0
-    for v, forget in steps:
-        done |= 1 << v
-        expected = sum(1 << u for u in order if done >> u & 1 and g.adj[u] & ~done)
-        frontier = (frontier | 1 << v) & ~forget
-        assert frontier == expected
-        widths.append(expected.bit_count())
+def frontier_widths(g, order, mask=None):
+    """Frontier size after each step of a vertex order of ``mask`` (all of g
+    by default): the introduced vertices that still have a neighbour to come."""
+    mask = g.full_mask if mask is None else mask
+    assert sorted(order) == [v for v in range(g.n) if mask >> v & 1]
+    widths, todo = [], mask
+    for i, v in enumerate(order):
+        todo ^= 1 << v
+        widths.append(sum(1 for u in order[:i + 1] if g.adj[u] & todo))
     return widths
 
 
@@ -199,24 +196,20 @@ def test_frontier_order_width():
 
 def test_frontier_order_budget():
     g = grid(8, 8)
-    steps, bag = frontier_order(g.adj, g.full_mask, NO_BUDGET)
+    order, bag = frontier_order(g.adj, g.full_mask, NO_BUDGET)
     assert bag is None
-    cost = sum(1 << w for w in frontier_widths(g, steps))
-    assert frontier_order(g.adj, g.full_mask, budget=cost) == (steps, None)
+    cost = order_cost(g, order)
+    assert frontier_order(g.adj, g.full_mask, budget=cost) == (order, None)
     # one short of the full cost, the order fails at its last step, whose
     # bag is the last vertex and its neighbours, all still in the frontier
-    last = steps[-1][0]
+    last = order[-1]
     bag = g.adj[last] | 1 << last
     assert frontier_order(g.adj, g.full_mask, budget=cost - 1) == (None, bag)
 
 
-def order_cost(steps):
-    """Sum of 2^(frontier width) over the steps, replaying their forget masks."""
-    cost, frontier = 0, 0
-    for v, forget in steps:
-        frontier = (frontier | 1 << v) & ~forget
-        cost += 1 << frontier.bit_count()
-    return cost
+def order_cost(g, order, mask=None):
+    """Sum of 2^(frontier width) over a vertex order of ``mask``."""
+    return sum(1 << w for w in frontier_widths(g, order, mask))
 
 
 def test_frontier_order_matches_reference_rule():
@@ -241,11 +234,11 @@ def test_frontier_order_matches_reference_rule():
         cases.append((g, mask))
     assert len(cases) >= 40
     for g, mask in cases:
-        steps, _ = helpers.reference_frontier_order(g.adj, mask)
-        assert frontier_order(g.adj, mask, NO_BUDGET) == (steps, None)
-        assert sorted(v for v, _ in steps) == [v for v in range(g.n) if mask >> v & 1]
-        cost = order_cost(steps)
-        assert frontier_order(g.adj, mask, cost) == (steps, None)
+        order, _ = helpers.reference_frontier_order(g.adj, mask)
+        assert frontier_order(g.adj, mask, NO_BUDGET) == (order, None)
+        assert sorted(order) == [v for v in range(g.n) if mask >> v & 1]
+        cost = order_cost(g, order, mask)
+        assert frontier_order(g.adj, mask, cost) == (order, None)
         for budget in (cost - 1, cost // 3):
             expected = helpers.reference_frontier_order(g.adj, mask, budget)
             assert expected[0] is None and expected[1] & mask == expected[1]
@@ -253,30 +246,35 @@ def test_frontier_order_matches_reference_rule():
 
 
 def test_frontier_dp_hand_written_steps():
-    # step lists written out by hand, so the kernel is checked apart from
-    # frontier_order: each is a valid order (frontier_widths checks every
-    # forget mask) and gives the brute-force polynomial
+    # vertex orders written out by hand, so the kernel is checked apart from
+    # frontier_order: each introduces every vertex once and gives the
+    # brute-force polynomial
     k = 9
     star = Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
+    k33 = Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
     isolated = Graph.from_edges(4, [(0, 1), (1, 2)])
     two = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)])
     path = build_family("path", 6)
     cases = [
-        # the centre last: all k leaves and the centre leave in one step
-        (star, [(i, 0) for i in range(1, k + 1)] + [(0, star.full_mask)]),
-        # vertex 3 is forgotten at its own introduction, first and between
-        (isolated, [(3, 1 << 3), (0, 0), (1, 1 << 0), (2, 0b110)]),
-        (isolated, [(0, 0), (1, 1 << 0), (3, 1 << 3), (2, 0b110)]),
-        (build_family("empty", 3), [(0, 1 << 0), (1, 1 << 1), (2, 1 << 2)]),
-        # a path and a triangle, their steps interleaved
-        (two, [(0, 0), (3, 0), (1, 1 << 0), (4, 0), (2, 0b110), (5, 0b111000)]),
+        # the k leaves before the centre: every chosen set of leaves blocks
+        # the same centre, so 2^k chosen sets share 2 states
+        (star, list(range(1, k + 1)) + [0]),
+        # one side of K_{3,3} first: every nonempty chosen set blocks the
+        # whole other side
+        (k33, [0, 1, 2, 3, 4, 5]),
+        # vertex 3 has no neighbour, introduced first and between
+        (isolated, [3, 0, 1, 2]),
+        (isolated, [0, 1, 3, 2]),
+        (build_family("empty", 3), [0, 1, 2]),
+        # a path and a triangle, their vertices interleaved
+        (two, [0, 3, 1, 4, 2, 5]),
         # a path introduced from both ends, meeting in the middle
-        (path, [(0, 0), (5, 0), (1, 1 << 0), (4, 1 << 5), (2, 1 << 1), (3, 0b11100)]),
+        (path, [0, 5, 1, 4, 2, 3]),
     ]
-    for g, steps in cases:
-        frontier_widths(g, steps)
+    for g, order in cases:
+        assert sorted(order) == list(range(g.n))
         width = g.n + 2
-        packed = engine.frontier_dp(g.adj, steps, width)
+        packed = engine.frontier_dp(g.adj, order, width)
         assert engine._unpack(packed, width) == brute_force_independence_polynomial(g)
 
 
@@ -338,7 +336,7 @@ def test_hybrid_dp_path_matches_oracle(monkeypatch):
             continue
         calls.clear()
         assert independence_polynomial(g) == brute_force_independence_polynomial(g)
-        assert calls and {v for v, _ in calls[0]} == set(range(n))
+        assert calls and sorted(calls[0]) == list(range(n))
         checked += 1
 
 
@@ -458,9 +456,9 @@ def test_engine_work_is_pinned(monkeypatch):
         (build_family("cycle", 40), (1, 0, 1, 0)),
         (build_family("path", 64), (0, 0, 0, 1)),  # the root goes to tree_dp
         # bag branching on a sparse graph that no single order fits
-        (helpers.random_regular_graph(random.Random(1), 64, 4), (53, 52, 53, 0)),
+        (helpers.random_regular_graph(random.Random(1), 64, 4), (9, 8, 9, 0)),
         # mean degree 7.5: branching crosses the gate before anything is ordered
-        (helpers.random_graph(random.Random(2), 40, 0.2), (10, 3, 10, 12)),
+        (helpers.random_graph(random.Random(2), 40, 0.2), (7, 0, 7, 12)),
     ]
     for g, expected in cases:
         counts.clear()
