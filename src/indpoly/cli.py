@@ -6,6 +6,10 @@ precision survives any consumer.  Exit codes: 0 success, 1 verification
 failure, 2 parse or usage error (also a flag the subcommand does not take),
 3 capacity exceeded (more than 64 vertices from any input or product,
 refused before any edge), 4 I/O error.
+
+`scan` writes its lines and resumes an earlier `--out` through `verify`,
+which owns the line format and the rule for the lines a resume keeps; the
+CLI appends to `--out` after cutting it to the length that rule gives.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 
 from .engine import independence_polynomial
@@ -233,63 +236,19 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _resume_offset(path: str, nmin: int) -> int:
-    """Byte length of the leading complete lines of an earlier scan at `path`
-    whose trees have fewer than nmin vertices.
-
-    The kept lines must be in (size, code) order, as scan writes them, and
-    hold each tree of every kept size once; otherwise the resume is refused,
-    naming the size at fault.  A missing file keeps no line.
-    """
-    import base64
-
-    from . import verify as ver
-
-    offset = 0
-    kept = dict.fromkeys(range(2, nmin), 0)
-    previous = (0, b"")
-    with contextlib.suppress(FileNotFoundError), open(path, "rb") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.endswith(b"\n"):
-                break  # torn by an aborted write
-            try:
-                result = json.loads(line)
-                n, code = result["n"], base64.b64decode(result["code"], validate=True)
-            except (ValueError, KeyError, TypeError):
-                n = None
-            if not isinstance(n, int) or n < 2:
-                raise GraphParseError(f"{path}: line {lineno}: not a scan result line")
-            if n >= nmin:
-                break
-            # scan writes each size in the byte order of its codes
-            if (n, code) <= previous:
-                raise GraphParseError(
-                    f"{path}: line {lineno}: size {n} repeats a tree or is out of order;"
-                    f" resume with --nmin {n}"
-                )
-            previous = (n, code)
-            kept[n] += 1
-            offset += len(line)
-    for n, count in kept.items():
-        expected = ver.free_tree_count(n)
-        if count != expected:
-            state = (f"is incomplete ({count} of {expected} trees)" if count < expected
-                     else f"has {count} lines for its {expected} trees")
-            raise GraphParseError(f"{path}: size {n} {state}; resume with --nmin {n}")
-    return offset
-
-
 def cmd_scan(args) -> int:
     from . import verify as ver
 
-    # the bounds and --jobs are checked here, before --out is touched
+    # the bounds and --jobs are checked here, and the kept lines next,
+    # before --out is touched
     stream = ver.tree_scan(args.nmin, args.nmax, args.jobs)
+    offset = ver.scan_resume_offset(args.out, args.nmin)
     total_violations = 0
-    if args.nmin > 2:
-        # resume: keep the sizes below nmin, drop anything written after them
-        os.truncate(args.out, _resume_offset(args.out, args.nmin))
-    with open(args.out, "w" if args.nmin == 2 else "a", encoding="utf-8") as handle, \
-            contextlib.closing(stream):
+    with open(args.out, "a", encoding="utf-8") as handle, contextlib.closing(stream):
+        # keep the sizes below --nmin and drop anything written after them;
+        # a pipe or a device such as /dev/null holds nothing to drop
+        if handle.seekable() and handle.tell() > offset:
+            handle.truncate(offset)
         for n, results in stream:
             count = violations = 0
             for result in results:

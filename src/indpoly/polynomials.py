@@ -24,13 +24,18 @@ class IntPoly:
 
     Coefficient ``k`` of ``coeffs`` multiplies ``x**k``; trailing zeros are
     trimmed, and the zero polynomial is the empty tuple.  Instances are
-    immutable and hashable.
+    immutable and hashable.  Every coefficient must be an ``int``: any other
+    type, a float or a bool included, raises ``TypeError``.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", tuple(_trim(list(coeffs))))
+        cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                raise TypeError(f"coefficients must be ints, got {type(c).__name__}")
+        object.__setattr__(self, "coeffs", tuple(_trim(cs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")

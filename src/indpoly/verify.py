@@ -13,14 +13,19 @@ are sufficient, not necessary, and an instance that misses a hypothesis is
 reported that way, not raised.  ``tree_scan`` owns its bounds and, for
 ``jobs > 1``, its worker pool, whose sizes raise once the stream is closed;
 it yields one (n, results) pair per size, deciding the size boundary alone.
+The scan's line format lives here too: ``scan_result_to_json`` writes a
+line, and ``scan_resume_offset`` keeps the lines of an earlier scan only
+where they are the scan's own trees, generated again to compare.
 """
 
 from __future__ import annotations
 
 import base64
+import io
 import math
 import os
 import random
+import re
 from itertools import combinations, islice, pairwise
 from typing import Iterator, NamedTuple, Sequence
 
@@ -78,9 +83,23 @@ class ScanResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _check_positive(a: Sequence[int]) -> None:
-    if any(v <= 0 for v in a):
-        raise ValueError("coefficient list must be positive")
+def _checked_entries(a: Sequence[int], least: int, b1: int = 1, b2: int = 0) -> list[int]:
+    """a as a list, once every entry of a, b1 and b2 is an int (a bool is
+    not one) and the sign rule of the hypotheses holds: every entry at least
+    `least`, b1 positive and b2 nonnegative.  The defaults of b1 and b2 meet
+    it, for a checker that takes neither."""
+    a = list(a)
+    for v in a:
+        _check_count("coefficient", v)
+    _check_count("b1", b1)
+    _check_count("b2", b2)
+    if any(v < least for v in a):
+        raise ValueError(f"every coefficient must be at least {least}")
+    if b1 <= 0:
+        raise ValueError("b1 must be positive")
+    if b2 < 0:
+        raise ValueError("b2 must be nonnegative")
+    return a
 
 
 def composition_log_concavity_condition(
@@ -91,10 +110,7 @@ def composition_log_concavity_condition(
     Together with log-concavity of both operands this forces the composed
     polynomial to be log-concave; a_{n+1} is treated as 0.
     """
-    a = list(a)
-    _check_positive(a)
-    if b1 <= 0 or b2 < 0:
-        raise ValueError("b1 must be positive and b2 nonnegative")
+    a = _checked_entries(a, 1, b1, b2)
     n = len(a) - 1
     for i in range(1, n + 1):
         nxt = a[i + 1] if i + 1 <= n else 0
@@ -105,10 +121,7 @@ def composition_log_concavity_condition(
 
 def composition_unimodality_condition(a: Sequence[int], b1: int) -> ConditionVerdict:
     """a_{i-1} <= b1 * a_i for 1 <= i <= n, forcing a unimodal composition."""
-    a = list(a)
-    _check_positive(a)
-    if b1 <= 0:
-        raise ValueError("b1 must be positive")
+    a = _checked_entries(a, 1, b1)
     for i in range(1, len(a)):
         if a[i - 1] > b1 * a[i]:
             return ConditionVerdict("composition-unimodality", False, i)
@@ -116,10 +129,10 @@ def composition_unimodality_condition(a: Sequence[int], b1: int) -> ConditionVer
 
 
 def increasing_coefficients_case(a: Sequence[int], b1: int) -> bool:
-    """The derived special case: a nondecreasing and b1 >= 1 already satisfy
-    the unimodality condition."""
-    a = list(a)
-    return b1 >= 1 and all(a[i - 1] <= a[i] for i in range(1, len(a)))
+    """The derived special case: a nondecreasing already satisfies the
+    unimodality condition, whose inputs it takes (a and b1 positive)."""
+    a = _checked_entries(a, 1, b1)
+    return all(a[i - 1] <= a[i] for i in range(1, len(a)))
 
 
 def well_covered_composition_condition(g1: Graph, g2: Graph) -> ConditionVerdict:
@@ -149,9 +162,7 @@ def binomial_basis_unimodality_condition(d: Sequence[int]) -> bool:
 
     This is the hypothesis under which sum d_i (1+x)^i is unimodal.
     """
-    d = list(d)
-    if any(v < 0 for v in d):
-        raise ValueError("d must be nonnegative")
+    d = _checked_entries(d, 0)
     nz = [v for v in d if v != 0]
     return all(nz[i - 1] <= nz[i] for i in range(1, len(nz)))
 
@@ -194,6 +205,7 @@ def rooted_tree_product_check(g: Graph, tree: str, root: int) -> ConditionVerdic
     tree = tree.upper()
     if tree not in ("T", "T1"):
         raise ValueError("tree must be 'T' or 'T1'")
+    _check_count("root", root)
     if not (1 <= root <= 4):
         raise ValueError("root label must be in 1..4")
     real = (tree, root) in _REAL_ROOTED_ROOTS
@@ -386,11 +398,6 @@ def _level_sequence_tree(levels: Sequence[int]) -> Graph:
     return Graph.from_edges(len(levels), enumerate(parents[1:], 1))
 
 
-def free_tree_count(n: int) -> int:
-    """Number of non-isomorphic trees on n >= 1 vertices, by generation."""
-    return sum(1 for _ in _free_level_sequences(n))
-
-
 def _level_sequence_code(levels: Sequence[int]) -> bytes:
     """The canonical code of the tree of a canonical level sequence rooted at
     a centre, as ``_free_level_sequences`` yields them: the code
@@ -445,6 +452,7 @@ def _coded_level_sequences(n: int) -> list[tuple[bytes, bytes]]:
 def distinct_trees(n: int) -> list[tuple[bytes, Graph]]:
     """All non-isomorphic trees on n >= 1 vertices as (canonical code, tree)
     pairs, sorted by code."""
+    _check_count("n", n)
     return [(code, _level_sequence_tree(levels)) for code, levels in _coded_level_sequences(n)]
 
 
@@ -518,9 +526,14 @@ def _scan_stream(
             pool.terminate()
 
 
-_SCAN_LINE = ('{"code": "%s", "coeffs": ["%s"], "log_concave": %s, "n": %d,'
+_SCAN_LINE = ('{"code": "%s", "coeffs": ["%s"], "log_concave": %s, "n": %s,'
               ' "real_rooted": %s, "symmetric": %s, "unimodal": %s}')
 _JSON_BOOL = {False: "false", True: "true"}
+# a complete line of _SCAN_LINE, its code and size captured
+_FLAG = "(?:false|true)"
+_KEPT_LINE = re.compile((re.escape(_SCAN_LINE) % (
+    "(?P<code>[A-Za-z0-9+/=]*)", r'\d+(?:", "\d+)*', _FLAG, r"(?P<n>\d+)", _FLAG, _FLAG, _FLAG
+)).encode() + b"\n")
 
 
 def scan_result_to_json(result: ScanResult) -> str:
@@ -541,12 +554,52 @@ def scan_result_to_json(result: ScanResult) -> str:
     )
 
 
+def scan_resume_offset(path: str, n_min: int) -> int:
+    """Byte length of the leading lines of an earlier scan at `path` that a
+    scan resumed at n_min keeps: they must be the scan's own trees of every
+    size below n_min.
+
+    Line k of size n, for n in 2..n_min-1, must be a complete line of the
+    form ``scan_result_to_json`` writes, with that n and the base64 of the
+    k-th code of ``_coded_level_sequences(n)``.  Its other fields are
+    trusted, since only solving the tree again could check them.  Anything
+    after those lines is left to be dropped.  Otherwise ``ValueError`` names
+    the first size at fault, the --nmin to resume from.  A missing file
+    holds no line, and n_min == 2 reads nothing.
+    """
+    _check_count("n_min", n_min)
+    try:
+        handle = open(path, "rb") if n_min > 2 else io.BytesIO()
+    except FileNotFoundError:
+        handle = io.BytesIO()
+    offset = 0
+    with handle:
+        lines = enumerate(handle, start=1)
+        for n in range(2, n_min):
+            coded = _coded_level_sequences(n)
+            for k, (code, _) in enumerate(coded):
+                lineno, line = next(lines, (None, b""))
+                if not line.endswith(b"\n"):
+                    # the end of the file, or a last line torn by an aborted write
+                    raise ValueError(f"{path}: size {n} is incomplete ({k} of {len(coded)}"
+                                     f" trees); resume with --nmin {n}")
+                found = _KEPT_LINE.fullmatch(line)
+                if found is None or found.group("code", "n") != (
+                    base64.b64encode(code), str(n).encode()
+                ):
+                    raise ValueError(f"{path}: line {lineno} is not tree {k + 1} of size {n};"
+                                     f" resume with --nmin {n}")
+                offset += len(line)
+    return offset
+
+
 # ---------------------------------------------------------------------------
 # Randomized soundness harnesses
 # ---------------------------------------------------------------------------
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    _check_count("n", n)
     return Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
@@ -565,14 +618,15 @@ def composition_soundness_scan(kind: str, samples: int = 500, seed: int = 0) -> 
     polynomial log-concave plus the ratio condition imply a unimodal
     composition.  Returns counts and the (expectedly empty) failure list;
     raises SamplingError when MAX_ATTEMPTS draws accept fewer than `samples`,
-    and, before any draw, TypeError for a `samples` that is not an int and
-    ValueError for one outside 1..MAX_SAMPLES.
+    and, before any draw, TypeError for a `samples` or `seed` that is not an
+    int and ValueError for one outside 1..MAX_SAMPLES.
     """
     from .products import lex_poly
 
     if kind not in ("log_concave", "unimodal"):
         raise ValueError("kind must be 'log_concave' or 'unimodal'")
     _check_count("samples", samples)
+    _check_count("seed", seed)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if samples > MAX_SAMPLES:

@@ -286,6 +286,42 @@ def test_no_function_in_src_has_a_bool_default():
     assert switches == []
 
 
+def _count_checked(functions: dict, name: str) -> set[str]:
+    """The parameters that verify function `name` passes to `_check_count`,
+    in its own body or on to a parameter that another verify function checks."""
+    node = functions[name]
+    checked = set()
+    for call in ast.walk(node):
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)):
+            continue
+        callee = call.func.id
+        if callee == "_check_count":
+            passed = call.args
+        elif callee in functions and callee != name:
+            inner = _count_checked(functions, callee)
+            slots = (*zip((arg.arg for arg in functions[callee].args.args), call.args),
+                     *((keyword.arg, keyword.value) for keyword in call.keywords))
+            passed = [value for param, value in slots if param in inner]
+        else:
+            continue
+        checked.update(arg.id for arg in passed if isinstance(arg, ast.Name))
+    return checked & {arg.arg for arg in (*node.args.args, *node.args.kwonlyargs)}
+
+
+def test_every_int_parameter_of_verify_is_checked_as_a_count():
+    # a comparison lets a bool through as 0 or 1 and a float as a count, to
+    # fail later on something unrelated; _check_count refuses both at the call
+    from indpoly import verify
+
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    unchecked = [f"{name} {arg.arg}" for name, node in functions.items() if name[0] != "_"
+                 for arg in (*node.args.args, *node.args.kwonlyargs)
+                 if isinstance(arg.annotation, ast.Name) and arg.annotation.id == "int"
+                 and arg.arg not in _count_checked(functions, name)]
+    assert unchecked == []
+
+
 def _readme_blocks(language: str) -> list[str]:
     readme = (Path(SRC).parent / "README.md").read_text(encoding="utf-8")
     return [block.split("```", 1)[0] for block in readme.split(f"```{language}\n")[1:]]
@@ -1002,24 +1038,31 @@ def test_scan_resume_refuses_incomplete_size(tmp_path):
 
 
 def test_scan_resume_refuses_a_repeated_or_extra_tree(tmp_path):
+    # a kept line must be the scan's own tree: the first size where one is not
+    # is named, and resuming from it keeps only lines that are
     whole = tmp_path / "whole.jsonl"
-    assert run_cli("scan", "trees", "--nmax", "4", "--out", str(whole)).returncode == 0
-    lines = whole.read_bytes().splitlines(keepends=True)  # sizes 2, 3, 4, 4
+    assert run_cli("scan", "trees", "--nmax", "6", "--out", str(whole)).returncode == 0
+    lines = whole.read_bytes().splitlines(keepends=True)  # sizes 2, 3, 4 x2, 5 x3, 6 x6
     other = lines[1].replace(b'"code": "KCgpKCkp"', b'"code": "KCgpKQ=="')  # a larger code
+    # the last size-6 tree, the star, with a longer code that still sorts last
+    wrong = lines[-1].replace(b'"code": "KCgpKCkoKSgpKCkp"', b'"code": "KCgpKCkoKSgpKCkpKCk="')
+    wrong = wrong.replace(b'"coeffs": ["1", "6", "10", "10", "5", "1"]', b'"coeffs": ["1", "999"]')
+    assert wrong.count(b'"1", "999"') == 1
     for name, kept, message in (
         # the first size-4 line copied over the second: one tree lost, counts intact
-        ("copied", [*lines[:3], lines[2]], "line 4: size 4 repeats a tree or is out of order;"
-                                           " resume with --nmin 4"),
+        ("copied", [*lines[:3], lines[2], *lines[4:]],
+         "line 4 is not tree 2 of size 4; resume with --nmin 4"),
         ("repeated", [*lines[:2], lines[1], *lines[2:]],
-         "line 3: size 3 repeats a tree or is out of order; resume with --nmin 3"),
-        ("swapped", [lines[0], lines[1], lines[3], lines[2]],
-         "line 4: size 4 repeats a tree or is out of order; resume with --nmin 4"),
+         "line 3 is not tree 1 of size 4; resume with --nmin 4"),
+        ("swapped", [lines[0], lines[1], lines[3], lines[2], *lines[4:]],
+         "line 3 is not tree 1 of size 4; resume with --nmin 4"),
         ("extra", [*lines[:2], other, *lines[2:]],
-         "size 3 has 2 lines for its 1 trees; resume with --nmin 3"),
+         "line 3 is not tree 1 of size 4; resume with --nmin 4"),
+        ("wrong", [*lines[:-1], wrong], "line 13 is not tree 6 of size 6; resume with --nmin 6"),
     ):
         path = tmp_path / f"{name}.jsonl"
         path.write_bytes(b"".join(kept))
-        proc = run_cli("scan", "trees", "--nmin", "5", "--nmax", "5", "--out", str(path))
+        proc = run_cli("scan", "trees", "--nmin", "7", "--nmax", "7", "--out", str(path))
         assert (proc.returncode, proc.stdout) == (2, ""), name
         assert proc.stderr == f"error: {path}: {message}\n", name
         assert path.read_bytes() == b"".join(kept), name

@@ -68,6 +68,19 @@ def test_intpoly_is_an_immutable_value():
     assert repr(p) == "IntPoly([1, 2])" and repr(IntPoly()) == "IntPoly([])"
 
 
+def test_intpoly_coefficients_are_ints():
+    # a float or a bool is refused before trimming, which would hide a
+    # trailing 0.0; every predicate and the JSON form then see ints only
+    for coeffs, shown in (((1.5, 2), "float"), ((1, 2.5, 1), "float"), ((1, 0.0), "float"),
+                          ((True, 1), "bool"), ((1, Fraction(1)), "Fraction")):
+        with pytest.raises(TypeError, match=f"^coefficients must be ints, got {shown}$"):
+            IntPoly(coeffs)
+    with pytest.raises(TypeError, match="^coefficients must be ints, got float$"):
+        shift_basis([0.5, 1])
+    with pytest.raises(TypeError, match="^coefficients must be ints, got bool$"):
+        poly(1, 2) + True
+
+
 def test_compose_examples():
     assert poly(1, 2).compose(poly(0, 2)) == poly(1, 4)
     f = poly(3, -1, 2, 5)

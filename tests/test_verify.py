@@ -52,12 +52,12 @@ from indpoly.verify import (
     composition_soundness_scan,
     composition_unimodality_condition,
     distinct_trees,
-    free_tree_count,
     increasing_coefficients_case,
     pendant_ladder_family_check,
     pendant_ladder_graph_check,
     pendant_ladder_recurrence,
     pendant_ladder_trig_check,
+    random_graph,
     rooted_tree_product_check,
     scan_result_to_json,
     tree_factor_identities,
@@ -107,6 +107,10 @@ def test_increasing_special_case_implies_condition():
         assert increasing_coefficients_case(a, b1)
         assert composition_unimodality_condition(a, b1).holds
     assert not increasing_coefficients_case([2, 1], 5)
+    # its inputs obey the sign rule of the condition it is a case of
+    for a, b1 in (([-1, 0], 1), ([0, 1], 1), ([1, 2], 0)):
+        with pytest.raises(ValueError):
+            increasing_coefficients_case(a, b1)
 
 
 def test_well_covered_composition_examples():
@@ -328,17 +332,17 @@ def test_pendant_ladder_check_caps():
 def test_distinct_tree_counts():
     for n in range(1, 15):
         assert len(distinct_trees(n)) == helpers.KNOWN_TREE_COUNTS[n]
-        assert free_tree_count(n) == helpers.KNOWN_TREE_COUNTS[n]
+        assert sum(1 for _ in _free_level_sequences(n)) == helpers.KNOWN_TREE_COUNTS[n]
     # up to the scan cap, counted without building the trees
     for n in range(15, 19):
-        assert free_tree_count(n) == helpers.KNOWN_TREE_COUNTS[n]
+        assert sum(1 for _ in _free_level_sequences(n)) == helpers.KNOWN_TREE_COUNTS[n]
 
 
 def test_tree_enumeration_rejects_an_empty_tree():
-    for enumerate_trees in (free_tree_count, _coded_level_sequences, distinct_trees):
+    for enumerate_trees in (_free_level_sequences, _coded_level_sequences, distinct_trees):
         for n in (0, -2):
             with pytest.raises(ValueError, match="a tree needs at least 1 vertex"):
-                enumerate_trees(n)
+                list(enumerate_trees(n))
 
 
 def test_code_collision_is_caught(monkeypatch):
@@ -567,6 +571,18 @@ def test_counts_must_be_ints(monkeypatch):
             ("n_max", lambda: pendant_ladder_graph_check(bad)),
             ("n", lambda: pendant_ladder_trig_check(bad, 1e-6)),
             ("n", lambda: pendant_ladder_recurrence(bad)),
+            ("seed", lambda: composition_soundness_scan("unimodal", seed=bad)),
+            ("root", lambda: rooted_tree_product_check(build_family("path", 2), "T", bad)),
+            ("n", lambda: distinct_trees(bad)),
+            ("n", lambda: random_graph(random.Random(0), bad, 0.5)),
+            ("b1", lambda: composition_log_concavity_condition([1, 2], bad, 0)),
+            ("b2", lambda: composition_log_concavity_condition([1, 2], 1, bad)),
+            ("b1", lambda: composition_unimodality_condition([1, 2], bad)),
+            ("b1", lambda: increasing_coefficients_case([1, 2], bad)),
+            ("coefficient", lambda: composition_log_concavity_condition([1, bad, 1], 1, 0)),
+            ("coefficient", lambda: composition_unimodality_condition([1, bad], 1)),
+            ("coefficient", lambda: increasing_coefficients_case([bad], 1)),
+            ("coefficient", lambda: binomial_basis_unimodality_condition([0, bad])),
         )
         for name, call in calls:
             with pytest.raises(TypeError, match=f"^{name} must be an int, got {shown}$"):
