@@ -936,6 +936,10 @@ def test_scan_trees_small(tmp_path):
     assert len(rows) == 7
     assert rows[0]["coeffs"] == ["1", "2"]
     assert all(row["unimodal"] for row in rows)
+    # a fresh scan replaces a longer file rather than appending to it
+    whole = out_path.read_bytes()
+    assert run_cli("scan", "trees", "--nmax", "4", "--out", str(out_path)).returncode == 0
+    assert out_path.read_bytes() == b"".join(whole.splitlines(keepends=True)[:4])
 
 
 def test_scan_trees_deterministic_and_parallel(tmp_path):
